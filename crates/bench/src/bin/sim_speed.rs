@@ -1,13 +1,11 @@
 //! Measures simulation speed: the naive cycle-by-cycle engine vs the
-//! event-driven fast-forward engine, serial vs the parallel grid driver,
-//! and cold-started points vs prefix-forked groups (`--fork-prefix`) —
+//! event-driven fast-forward engine, serial vs the parallel grid driver —
 //! and verifies along the way that both engines produce **identical**
 //! run metrics on every grid point (cycle-exactness is a hard invariant,
-//! not a statistical claim) and that forked runs reproduce cold starts
-//! byte for byte.
+//! not a statistical claim).
 //!
 //! ```text
-//! cargo run --release -p esp4ml-bench --bin sim_speed -- --frames 16 --out BENCH_sim_speed.json
+//! cargo run --release -p esp4ml-bench --bin sim_speed -- --frames 16 --json BENCH_sim_speed.json
 //! ```
 //!
 //! The JSON artifact is committed at the repo root and refreshed by the
@@ -15,11 +13,15 @@
 
 use esp4ml::apps::TrainedModels;
 use esp4ml::experiments::{AppRun, Fig7, GridPoint, Table1};
+use esp4ml_bench::cli::{self, Flag, HarnessSpec};
 use esp4ml_bench::parallel;
 use esp4ml_soc::SocEngine;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// `sim_speed` — grid size, worker count and where the report goes.
+const SIM_SPEED_FLAGS: &[Flag] = &[Flag::Frames, Flag::Jobs, Flag::Json];
 
 #[derive(Debug, Serialize)]
 struct GridReport {
@@ -31,13 +33,10 @@ struct GridReport {
     naive_serial_secs: f64,
     event_serial_secs: f64,
     event_parallel_secs: f64,
-    fork_serial_secs: f64,
     parallel_jobs: usize,
     event_vs_naive_speedup: f64,
     parallel_vs_serial_speedup: f64,
-    fork_vs_cold_speedup: f64,
     cycle_exact: bool,
-    fork_identical: bool,
 }
 
 #[derive(Debug, Serialize)]
@@ -55,32 +54,23 @@ fn measure(
     jobs: usize,
 ) -> Result<GridReport, Box<dyn std::error::Error>> {
     let time = |engine: SocEngine,
-                jobs: usize,
-                fork: bool|
+                jobs: usize|
      -> Result<(Vec<AppRun>, f64), Box<dyn std::error::Error>> {
         let start = Instant::now();
-        let runs =
-            parallel::run_grid(points, models, frames, engine, jobs, false, None, fork, None)?;
+        let runs = parallel::run_grid(points, models, frames, engine, jobs, false, None, None)?;
         Ok((runs, start.elapsed().as_secs_f64()))
     };
     // `run_grid` clamps the pool to the grid size; report the worker
     // count that actually ran so the JSON artifact is honest.
     let jobs = jobs.min(points.len());
-    let (naive, naive_serial_secs) = time(SocEngine::Naive, 1, false)?;
-    let (event, event_serial_secs) = time(SocEngine::EventDriven, 1, false)?;
-    let (par, event_parallel_secs) = time(SocEngine::EventDriven, jobs, false)?;
-    // Fork leg: serial on purpose, so fork_vs_cold_speedup isolates the
-    // shared-prefix memoization from thread-pool scaling.
-    let (forked, fork_serial_secs) = time(SocEngine::EventDriven, 1, true)?;
+    let (naive, naive_serial_secs) = time(SocEngine::Naive, 1)?;
+    let (event, event_serial_secs) = time(SocEngine::EventDriven, 1)?;
+    let (par, event_parallel_secs) = time(SocEngine::EventDriven, jobs)?;
     let cycle_exact = naive
         .iter()
         .zip(&event)
         .zip(&par)
         .all(|((n, e), p)| n.metrics == e.metrics && e.metrics == p.metrics);
-    let fork_identical = event
-        .iter()
-        .zip(&forked)
-        .all(|(e, f)| e.metrics == f.metrics && e.predictions == f.predictions);
     let simulated_cycles = naive.iter().map(|r| r.metrics.cycles).sum();
     Ok(GridReport {
         grid: name.to_string(),
@@ -91,44 +81,32 @@ fn measure(
         naive_serial_secs,
         event_serial_secs,
         event_parallel_secs,
-        fork_serial_secs,
         parallel_jobs: jobs,
         event_vs_naive_speedup: naive_serial_secs / event_serial_secs.max(f64::EPSILON),
         parallel_vs_serial_speedup: event_serial_secs / event_parallel_secs.max(f64::EPSILON),
-        fork_vs_cold_speedup: event_serial_secs / fork_serial_secs.max(f64::EPSILON),
         cycle_exact,
-        fork_identical,
     })
 }
 
 fn main() {
-    let mut frames = 16u64;
-    // The parallel leg must actually exercise the pool: on a single-core
-    // box `default_jobs()` is 1, which silently degenerated the
-    // "parallel" measurement into a second serial run.
-    let mut jobs = parallel::default_jobs().max(2);
-    let mut out = PathBuf::from("BENCH_sim_speed.json");
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut grab = || it.next().ok_or_else(|| format!("{arg} needs a value"));
-        let result: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--frames" => frames = grab()?.parse().map_err(|e| format!("--frames: {e}"))?,
-                "--jobs" => jobs = grab()?.parse().map_err(|e| format!("--jobs: {e}"))?,
-                "--out" => out = PathBuf::from(grab()?),
-                other => {
-                    return Err(format!(
-                        "unknown option {other}; supported: --frames N --jobs N --out PATH"
-                    ))
-                }
-            }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
+    let spec = HarnessSpec::new(
+        "sim_speed",
+        "time the Table I and Fig. 7 grids under both engines, serial and parallel",
+        SIM_SPEED_FLAGS,
+    )
+    .with_defaults(|d| {
+        d.frames = 16;
+        // The parallel leg must actually exercise the pool: on a
+        // single-core box `default_jobs()` is 1, which would silently
+        // degenerate the "parallel" measurement into a second serial run.
+        d.jobs = parallel::default_jobs().max(2);
+    });
+    let args =
+        cli::parse(&spec, std::env::args().skip(1)).unwrap_or_else(|e| cli::exit_on_error(e));
+    let (frames, jobs) = (args.frames, args.jobs);
+    let out = args
+        .json
+        .unwrap_or_else(|| PathBuf::from("BENCH_sim_speed.json"));
     let models = TrainedModels::untrained();
     let grids: [(&str, Vec<GridPoint>); 2] = [("table1", Table1::grid()), ("fig7", Fig7::grid())];
     let mut report = Report {
@@ -142,8 +120,7 @@ fn main() {
             Ok(g) => {
                 println!(
                     "{:<8} {:>2} points: naive {:.2}s | event {:.2}s ({:.1}x) | \
-                     parallel x{} {:.2}s ({:.1}x) | forked {:.2}s ({:.1}x) | \
-                     cycle-exact: {} | fork-identical: {}",
+                     parallel x{} {:.2}s ({:.1}x) | cycle-exact: {}",
                     g.grid,
                     g.points,
                     g.naive_serial_secs,
@@ -152,10 +129,7 @@ fn main() {
                     g.parallel_jobs,
                     g.event_parallel_secs,
                     g.parallel_vs_serial_speedup,
-                    g.fork_serial_secs,
-                    g.fork_vs_cold_speedup,
                     g.cycle_exact,
-                    g.fork_identical,
                 );
                 report.grids.push(g);
             }
@@ -167,10 +141,6 @@ fn main() {
     }
     if report.grids.iter().any(|g| !g.cycle_exact) {
         eprintln!("FAIL: engines diverged — the event-driven engine is not cycle-exact");
-        std::process::exit(1);
-    }
-    if report.grids.iter().any(|g| !g.fork_identical) {
-        eprintln!("FAIL: prefix-forked runs diverged from cold starts");
         std::process::exit(1);
     }
     match serde_json::to_value(&report) {

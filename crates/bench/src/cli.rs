@@ -43,8 +43,6 @@ pub enum Flag {
     Engine,
     /// `--jobs N`
     Jobs,
-    /// `--fork-prefix`
-    ForkPrefix,
     /// `--sanitize`
     Sanitize,
     /// `--faults PLAN.json`
@@ -88,7 +86,6 @@ impl Flag {
             Flag::SampleEvery => "--sample-every",
             Flag::Engine => "--engine",
             Flag::Jobs => "--jobs",
-            Flag::ForkPrefix => "--fork-prefix",
             Flag::Sanitize => "--sanitize",
             Flag::Faults => "--faults",
             Flag::Config | Flag::ConfigPath => "--config",
@@ -122,12 +119,7 @@ impl Flag {
             | Flag::Json
             | Flag::Flame
             | Flag::Metrics => Some("PATH"),
-            Flag::Train
-            | Flag::NoTrain
-            | Flag::ForkPrefix
-            | Flag::Sanitize
-            | Flag::All
-            | Flag::Progress => None,
+            Flag::Train | Flag::NoTrain | Flag::Sanitize | Flag::All | Flag::Progress => None,
         }
     }
 
@@ -145,9 +137,6 @@ impl Flag {
             Flag::SampleEvery => "with --trace, sample the SoC counters every CYCLES cycles",
             Flag::Engine => "simulation engine",
             Flag::Jobs => "worker threads for grid execution",
-            Flag::ForkPrefix => {
-                "fork points sharing a config prefix from one warm snapshot (same results, faster)"
-            }
             Flag::Sanitize => "audit every run with the runtime invariant sanitizer",
             Flag::Faults => "install the fault plan on every run's SoC (recovery armed)",
             Flag::Config => "configuration/grid-point index to run (repeatable; default: all)",
@@ -186,7 +175,6 @@ pub const FIGURE_FLAGS: &[Flag] = &[
     Flag::SampleEvery,
     Flag::Engine,
     Flag::Jobs,
-    Flag::ForkPrefix,
     Flag::Sanitize,
     Flag::Faults,
     Flag::Config,
@@ -208,7 +196,6 @@ pub const TABLE_FLAGS: &[Flag] = &[
     Flag::SampleEvery,
     Flag::Engine,
     Flag::Jobs,
-    Flag::ForkPrefix,
     Flag::Sanitize,
     Flag::Config,
     Flag::Metrics,
@@ -433,9 +420,6 @@ pub struct HarnessArgs {
     pub engine: SocEngine,
     /// Worker threads for grid execution (ignored when tracing).
     pub jobs: usize,
-    /// Fork grid points sharing a config prefix from one warm snapshot
-    /// (`--fork-prefix`); byte-identical results, less wall clock.
-    pub fork_prefix: bool,
     /// Run every grid point with the runtime invariant sanitizer armed
     /// (`esp4ml_soc::SanitizerConfig::all`); any violation fails the
     /// harness with the typed diagnostics.
@@ -481,7 +465,6 @@ impl Default for HarnessArgs {
             sample_every: None,
             engine: SocEngine::default(),
             jobs: parallel::default_jobs(),
-            fork_prefix: false,
             sanitize: false,
             faults: None,
             configs: Vec::new(),
@@ -561,7 +544,6 @@ fn parse_inner(
             Flag::SampleEvery => out.sample_every = Some(number()?),
             Flag::Engine => out.engine = engine_from_str(&value()?)?,
             Flag::Jobs => out.jobs = number()? as usize,
-            Flag::ForkPrefix => out.fork_prefix = true,
             Flag::Sanitize => out.sanitize = true,
             Flag::Faults => out.faults = Some(PathBuf::from(value()?)),
             Flag::Config => out.configs.push(number()? as usize),
@@ -770,18 +752,6 @@ mod tests {
         assert_eq!(a.engine, SocEngine::EventDriven);
         assert!(parse_figure(&["--engine", "warp"]).is_err());
         assert!(parse_figure(&["--jobs", "0"]).is_err());
-    }
-
-    #[test]
-    fn fork_prefix_option() {
-        assert!(!parse_figure(&[]).unwrap().fork_prefix);
-        assert!(parse_figure(&["--fork-prefix"]).unwrap().fork_prefix);
-        // Composes with the other grid-execution switches.
-        let a = parse_figure(&["--fork-prefix", "--jobs", "2", "--sanitize"]).unwrap();
-        assert!(a.fork_prefix && a.sanitize);
-        // espfault forks unconditionally, so its spec does not take it.
-        let spec = HarnessSpec::new("espfault", "f", ESPFAULT_FLAGS);
-        assert!(parse_spec(&spec, &["--fork-prefix"]).is_err());
     }
 
     #[test]

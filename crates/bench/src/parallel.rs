@@ -14,7 +14,7 @@
 
 use crate::request::{Progress, ProgressSink};
 use esp4ml::apps::TrainedModels;
-use esp4ml::experiments::{AppRun, ExperimentError, GridPoint, PreparedApp};
+use esp4ml::experiments::{AppRun, ExperimentError, GridPoint};
 use esp4ml::faults::FaultConfig;
 use esp4ml_soc::SocEngine;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,14 +43,6 @@ pub fn default_jobs() -> usize {
 /// ([`GridPoint::run_faulted`]) — every worker injects the same plan,
 /// so the grid stays deterministic.
 ///
-/// With `fork_prefix` set, points sharing a config-prefix key
-/// ([`GridPoint::prefix_key`]) are grouped: each group executes its
-/// load/config phase once through a [`PreparedApp`] and forks the warm
-/// snapshot across its modes. Forked runs are byte-identical to cold
-/// starts (the snapshot contract), so results, figures and progress
-/// snapshots do not change — only the wall clock does. Workers then
-/// steal whole groups instead of single points.
-///
 /// With `progress` set, one cumulative [`Progress`] snapshot is
 /// published per grid point **in grid order**, regardless of worker
 /// scheduling: workers only publish the contiguous prefix of finished
@@ -69,7 +61,6 @@ pub fn run_grid(
     jobs: usize,
     sanitize: bool,
     faults: Option<&FaultConfig>,
-    fork_prefix: bool,
     progress: Option<&dyn ProgressSink>,
 ) -> Result<Vec<AppRun>, ExperimentError> {
     let exec = |p: &GridPoint| {
@@ -97,9 +88,7 @@ pub fn run_grid(
         }
     };
     let jobs = jobs.min(points.len());
-    if !fork_prefix && jobs <= 1 {
-        // The serial cold-start path stays the trivially auditable
-        // oracle: no pool, no slots, first error short-circuits.
+    if jobs <= 1 {
         let mut state = PublishState::default();
         let mut runs = Vec::with_capacity(points.len());
         for point in points {
@@ -109,102 +98,40 @@ pub fn run_grid(
         }
         return Ok(runs);
     }
-    // Work units: single points when cold-starting, whole prefix groups
-    // (grid indices, first-appearance order) when forking.
-    let groups: Vec<Vec<usize>> = if fork_prefix {
-        let mut keys: Vec<String> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, p) in points.iter().enumerate() {
-            let key = p.prefix_key();
-            match keys.iter().position(|k| *k == key) {
-                Some(g) => groups[g].push(i),
-                None => {
-                    keys.push(key);
-                    groups.push(vec![i]);
-                }
-            }
-        }
-        groups
-    } else {
-        (0..points.len()).map(|i| vec![i]).collect()
-    };
-    let exec_group = |group: &[usize]| -> Vec<(usize, Result<AppRun, ExperimentError>)> {
-        if !fork_prefix {
-            return group.iter().map(|&i| (i, exec(&points[i]))).collect();
-        }
-        let first = &points[group[0]];
-        let mut prepared = match PreparedApp::load(&first.app, models, frames, engine, sanitize) {
-            Ok(p) => p,
-            Err(e) => {
-                // The shared prefix failed: the real error lands in the
-                // group's first (lowest) slot — the one grid-order
-                // collection surfaces — with placeholders behind it.
-                let mut out = vec![(group[0], Err(e))];
-                out.extend(group[1..].iter().map(|&i| {
-                    let label = points[i].label();
-                    let msg = format!("shared config prefix failed to load for {label}");
-                    (i, Err(ExperimentError::Grid(msg)))
-                }));
-                return out;
-            }
-        };
-        group
-            .iter()
-            .map(|&i| {
-                let mode = points[i].mode;
-                let result = match faults {
-                    Some(fc) => prepared.run_faulted(mode, fc),
-                    None => prepared.run(mode),
-                };
-                (i, result)
-            })
-            .collect()
-    };
+    let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<AppRun, ExperimentError>>>> =
         points.iter().map(|_| Mutex::new(None)).collect();
     // Publisher state shared by all workers: `next` is the first slot
     // not yet published. Whoever fills a slot advances the contiguous
     // finished prefix, so snapshots always come out in grid order.
     let publisher = Mutex::new(PublishState::default());
-    let finish_group = |results: Vec<(usize, Result<AppRun, ExperimentError>)>| {
-        for (i, result) in results {
-            *slots[i].lock().expect("slot lock") = Some(result);
+    std::thread::scope(|scope| {
+        for _ in 0..jobs {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(point) = points.get(i) else { break };
+                let result = exec(point);
+                *slots[i].lock().expect("slot lock") = Some(result);
+                let mut state = publisher.lock().expect("publisher lock");
+                while let Some(slot) = slots.get(state.next) {
+                    let filled = slot.lock().expect("slot lock");
+                    match filled.as_ref() {
+                        Some(Ok(run)) => publish(&mut state, run),
+                        // A failed point fails the whole grid; stop
+                        // publishing rather than skip past the error.
+                        Some(Err(_)) | None => break,
+                    }
+                    state.next += 1;
+                }
+            });
         }
-        let mut state = publisher.lock().expect("publisher lock");
-        while let Some(slot) = slots.get(state.next) {
-            let filled = slot.lock().expect("slot lock");
-            match filled.as_ref() {
-                Some(Ok(run)) => publish(&mut state, run),
-                // A failed point fails the whole grid; stop publishing
-                // rather than skip past the error.
-                Some(Err(_)) | None => break,
-            }
-            state.next += 1;
-        }
-    };
-    let workers = jobs.min(groups.len()).max(1);
-    if workers <= 1 {
-        for group in &groups {
-            finish_group(exec_group(group));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let g = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(group) = groups.get(g) else { break };
-                    finish_group(exec_group(group));
-                });
-            }
-        });
-    }
+    });
     slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .expect("slot lock")
-                .expect("every group ran, so every slot is filled")
+                .expect("scope joined every worker, so every slot is filled")
         })
         .collect()
 }
@@ -237,7 +164,6 @@ mod tests {
             1,
             false,
             None,
-            false,
             None,
         )
         .unwrap();
@@ -249,7 +175,6 @@ mod tests {
             4,
             false,
             None,
-            false,
             None,
         )
         .unwrap();
@@ -265,48 +190,6 @@ mod tests {
         for (a, b) in fig_s.rows.iter().zip(&fig_p.rows) {
             assert_eq!(a.accesses_no_p2p, b.accesses_no_p2p);
             assert_eq!(a.accesses_p2p, b.accesses_p2p);
-        }
-    }
-
-    /// Prefix-forked grids — serial and with groups scattered across
-    /// workers — reproduce the cold-start oracle run for run.
-    #[test]
-    fn forked_grid_matches_cold_start_oracle() {
-        let models = TrainedModels::untrained();
-        let grid = Fig8::grid();
-        let cold = run_grid(
-            &grid,
-            &models,
-            2,
-            SocEngine::EventDriven,
-            1,
-            false,
-            None,
-            false,
-            None,
-        )
-        .unwrap();
-        for jobs in [1, 4] {
-            let forked = run_grid(
-                &grid,
-                &models,
-                2,
-                SocEngine::EventDriven,
-                jobs,
-                false,
-                None,
-                true,
-                None,
-            )
-            .unwrap();
-            assert_eq!(cold.len(), forked.len());
-            for (c, f) in cold.iter().zip(&forked) {
-                assert_eq!(c.label, f.label, "jobs={jobs}");
-                assert_eq!(c.mode, f.mode);
-                assert_eq!(c.metrics, f.metrics, "{} {:?} jobs={jobs}", c.label, c.mode);
-                assert_eq!(c.predictions, f.predictions);
-                assert_eq!(c.watts, f.watts);
-            }
         }
     }
 

@@ -273,12 +273,6 @@ pub struct RunRequest {
     /// results, so it is excluded from [`RunRequest::cache_key`].
     #[serde(default)]
     pub jobs: usize,
-    /// Fork grid points sharing a config prefix from one warm snapshot
-    /// instead of cold-starting each (`--fork-prefix`). Forked runs are
-    /// byte-identical to cold starts, so — like `jobs` — this never
-    /// affects results and is excluded from [`RunRequest::cache_key`].
-    #[serde(default)]
-    pub fork_prefix: bool,
     /// Arm the runtime invariant sanitizer on every run.
     #[serde(default)]
     pub sanitize: bool,
@@ -433,7 +427,6 @@ impl RunRequest {
             frames: 64,
             engine: String::new(),
             jobs: 0,
-            fork_prefix: false,
             sanitize: false,
             fault_plan: None,
             soc_config: None,
@@ -601,16 +594,14 @@ impl RunRequest {
     }
 
     /// The deterministic cache key: FNV-1a 64 over the canonical JSON
-    /// form of [`RunRequest::normalized`] with `jobs` and `fork_prefix`
-    /// zeroed (neither worker count nor prefix forking changes
-    /// results). Canonical JSON sorts every object's
+    /// form of [`RunRequest::normalized`] with `jobs` zeroed (worker
+    /// count never changes results). Canonical JSON sorts every object's
     /// keys, so the key is invariant under JSON key reordering — and
     /// since runs are proven engine-byte-identical and seeded, equal
     /// keys imply byte-equal responses.
     pub fn cache_key(&self) -> u64 {
         let mut canonical = self.normalized();
         canonical.jobs = 0;
-        canonical.fork_prefix = false;
         let value = serde_json::to_value(&canonical).expect("request serializes");
         fnv1a64(canonical_json(&value).as_bytes())
     }
@@ -917,7 +908,6 @@ fn figure_response(
             req.effective_jobs(),
             req.sanitize,
             faults.as_ref(),
-            req.fork_prefix,
             progress,
         )?
     };
@@ -1672,7 +1662,6 @@ impl crate::HarnessArgs {
             frames: self.frames,
             engine: engine_name(self.engine).to_string(),
             jobs: self.jobs,
-            fork_prefix: self.fork_prefix,
             sanitize: self.sanitize,
             fault_plan: self.fault_plan()?,
             soc_config: None,
@@ -1757,7 +1746,6 @@ mod tests {
         let a = req(WorkloadKind::Fig7);
         let mut b = a.clone();
         b.jobs = 7;
-        b.fork_prefix = true;
         assert_eq!(a.cache_key(), b.cache_key());
         let mut c = a.clone();
         c.engine = "event-driven".into();

@@ -313,14 +313,6 @@ pub fn explain(code: &str) -> Option<(&'static str, &'static str)> {
         .map(|&(_, summary, explanation)| (summary, explanation))
 }
 
-/// Interns a code string back to its registry `&'static str` — the
-/// inverse of serializing a [`crate::Diagnostic`], used when findings
-/// come back from JSON (e.g. a restored simulation snapshot). Returns
-/// `None` for codes not in [`ALL`].
-pub fn canonical(code: &str) -> Option<&'static str> {
-    ALL.iter().find(|(c, _, _)| *c == code).map(|&(c, _, _)| c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,14 +1,14 @@
 //! The diagnostic data model shared by the static linter and the
 //! runtime sanitizer.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// How bad a finding is.
 ///
 /// The ordering is meaningful: `Warning < Error`, so a report can be
 /// sorted most-severe-last and gated on its maximum severity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(rename_all = "snake_case")]
 pub enum Severity {
     /// Suspicious but not necessarily wrong; does not fail `espcheck`.
@@ -84,37 +84,6 @@ impl Diagnostic {
     pub fn with_hint(mut self, hint: impl Into<String>) -> Self {
         self.hint = Some(hint.into());
         self
-    }
-}
-
-impl Deserialize for Diagnostic {
-    /// Deserializes a finding, interning `code` back to its registry
-    /// `&'static str` via [`crate::codes::canonical`]. Codes absent
-    /// from the registry are rejected: a diagnostic that round-trips
-    /// through JSON (snapshot restore, report ingestion) must compare
-    /// equal to one emitted live.
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected diagnostic object"))?;
-        let field = |key: &str| {
-            obj.get(key)
-                .ok_or_else(|| serde::Error::custom(format!("missing diagnostic field {key:?}")))
-        };
-        let code_str = String::from_value(field("code")?)?;
-        let code = crate::codes::canonical(&code_str).ok_or_else(|| {
-            serde::Error::custom(format!("unknown diagnostic code {code_str:?}"))
-        })?;
-        Ok(Diagnostic {
-            code,
-            severity: Severity::from_value(field("severity")?)?,
-            location: String::from_value(field("location")?)?,
-            message: String::from_value(field("message")?)?,
-            hint: match obj.get("hint") {
-                Some(v) => Option::<String>::from_value(v)?,
-                None => None,
-            },
-        })
     }
 }
 
@@ -267,23 +236,6 @@ mod tests {
         assert_eq!(fwd.render_text().matches("E0703").count(), 1);
         // Rendering does not mutate the report itself.
         assert_eq!(fwd.diagnostics.len(), 4);
-    }
-
-    #[test]
-    fn json_roundtrip_interns_the_code() {
-        let d = Diagnostic::error(codes::CREDIT_CONSERVATION, "router(1,1)", "lost credit")
-            .with_hint("check pop accounting");
-        let json = serde_json::to_string(&d).unwrap();
-        let back: Diagnostic = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, d);
-        // The code went through the registry, not through an owned
-        // copy of whatever the JSON said. (Pointer identity with the
-        // `const` is not checkable — consts are inlined per use site —
-        // so assert the interning path itself.)
-        assert_eq!(codes::canonical("E0401"), Some(back.code));
-        // Unknown codes are rejected, not silently leaked.
-        let bad = json.replace("E0401", "E9999");
-        assert!(serde_json::from_str::<Diagnostic>(&bad).is_err());
     }
 
     #[test]

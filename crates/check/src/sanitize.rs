@@ -1,6 +1,6 @@
 //! Configuration of the runtime invariant sanitizer.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which invariants the runtime sanitizer enforces.
 ///
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// and DMA byte accounting at idle boundaries (`E0404`). The default is
 /// everything on — the cost is paid only when a sanitizer is installed,
 /// never on plain runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SanitizerConfig {
     /// Check shadow link occupancy against the router queues (`E0401`).
     pub credits: bool,

@@ -2,7 +2,7 @@
 
 use crate::flow::Esp4mlFlow;
 use esp4ml_hls::FixedSpec;
-use esp4ml_hls4ml::CompileError;
+use esp4ml_hls4ml::{CompileError, CompiledNn};
 use esp4ml_nn::{accuracy, reconstruction_error, Sequential, TrainConfig, Trainer};
 use esp4ml_noc::Coord;
 use esp4ml_runtime::Dataflow;
@@ -10,6 +10,7 @@ use esp4ml_soc::{NnKernel, Soc, SocBuilder, SocError};
 use esp4ml_vision::SvhnGenerator;
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Per-layer reuse factors of the single-tile classifier (SoC-1). Chosen,
 /// as the paper does with the `hls4ml tuning` step, so four classifier
@@ -62,17 +63,50 @@ impl From<SocError> for BuildError {
 
 /// The two Keras-trained models of the evaluation, plus their quality
 /// metrics when training was actually run.
+///
+/// The models are read-only: the HLS4ML accelerators compiled from them
+/// are memoized here, one per (model, reuse factors) the case-study SoCs
+/// use, so every SoC built from the same `TrainedModels` places the same
+/// IP in its tiles — as the paper's flow compiles each accelerator once
+/// and instantiates it many times.
 #[derive(Debug, Clone)]
 pub struct TrainedModels {
-    /// The MLP digit classifier (1024×256×128×64×32×10, dropout 0.2).
-    pub classifier: Sequential,
-    /// The denoising autoencoder (1024×256×128×1024).
-    pub denoiser: Sequential,
+    classifier: Sequential,
+    denoiser: Sequential,
     /// Test accuracy of the classifier, if trained (paper: 92 %).
     pub classifier_accuracy: Option<f64>,
     /// Relative reconstruction error of the denoiser, if trained
     /// (paper: 3.1 %).
     pub denoiser_error: Option<f64>,
+    compiled: CompiledAccelerators,
+}
+
+/// The accelerators compiled from a [`TrainedModels`], filled on the
+/// first SoC build that needs each (never at construction: most users of
+/// untrained models build only one of the two SoCs, or none).
+#[derive(Debug, Clone, Default)]
+struct CompiledAccelerators {
+    /// The classifier at [`CLASSIFIER_REUSE`] (SoC-1, five tiles).
+    classifier: OnceLock<Arc<CompiledNn>>,
+    /// The denoiser at [`DENOISER_REUSE`] (SoC-1).
+    denoiser: OnceLock<Arc<CompiledNn>>,
+    /// The classifier at [`MULTI_TILE_REUSE`], split one layer per tile
+    /// (SoC-2).
+    multi_tile: OnceLock<Vec<Arc<CompiledNn>>>,
+}
+
+/// The memoized value of `cell`, computing it with `compile` on first
+/// use. Two threads racing on an empty cell both compile; the results
+/// are identical, and the first to finish is kept.
+fn memo<T: Clone>(
+    cell: &OnceLock<T>,
+    compile: impl FnOnce() -> Result<T, CompileError>,
+) -> Result<T, CompileError> {
+    if let Some(v) = cell.get() {
+        return Ok(v.clone());
+    }
+    let v = compile()?;
+    Ok(cell.get_or_init(|| v).clone())
 }
 
 impl TrainedModels {
@@ -85,6 +119,7 @@ impl TrainedModels {
             denoiser: Sequential::svhn_denoiser(),
             classifier_accuracy: None,
             denoiser_error: None,
+            compiled: CompiledAccelerators::default(),
         }
     }
 
@@ -115,7 +150,60 @@ impl TrainedModels {
             denoiser,
             classifier_accuracy,
             denoiser_error,
+            compiled: CompiledAccelerators::default(),
         }
+    }
+
+    /// The MLP digit classifier (1024×256×128×64×32×10, dropout 0.2).
+    pub fn classifier(&self) -> &Sequential {
+        &self.classifier
+    }
+
+    /// The denoising autoencoder (1024×256×128×1024).
+    pub fn denoiser(&self) -> &Sequential {
+        &self.denoiser
+    }
+
+    /// The classifier compiled at [`CLASSIFIER_REUSE`], shared by every
+    /// classifier tile of every SoC-1 built from these models.
+    ///
+    /// # Errors
+    ///
+    /// HLS4ML compilation failures.
+    pub(crate) fn compiled_classifier(&self) -> Result<Arc<CompiledNn>, CompileError> {
+        memo(&self.compiled.classifier, || {
+            let nn = Esp4mlFlow::new().compile_ml(
+                &self.classifier,
+                "svhn_classifier",
+                &CLASSIFIER_REUSE,
+            )?;
+            Ok(Arc::new(nn))
+        })
+    }
+
+    /// The denoiser compiled at [`DENOISER_REUSE`].
+    ///
+    /// # Errors
+    ///
+    /// HLS4ML compilation failures.
+    pub(crate) fn compiled_denoiser(&self) -> Result<Arc<CompiledNn>, CompileError> {
+        memo(&self.compiled.denoiser, || {
+            let nn = Esp4mlFlow::new().compile_ml(&self.denoiser, "denoiser", &DENOISER_REUSE)?;
+            Ok(Arc::new(nn))
+        })
+    }
+
+    /// The classifier compiled at [`MULTI_TILE_REUSE`] and split into one
+    /// network per dense layer (`cls_l0`..`cls_l4`), SoC-2's five tiles.
+    ///
+    /// # Errors
+    ///
+    /// HLS4ML compilation failures.
+    pub(crate) fn compiled_multi_tile(&self) -> Result<Vec<Arc<CompiledNn>>, CompileError> {
+        memo(&self.compiled.multi_tile, || {
+            let nn = Esp4mlFlow::new().compile_ml(&self.classifier, "cls", &MULTI_TILE_REUSE)?;
+            Ok(nn.split_layers().into_iter().map(Arc::new).collect())
+        })
     }
 }
 
@@ -299,24 +387,22 @@ pub fn build_soc1(models: &TrainedModels) -> Result<Soc, BuildError> {
         Coord::new(4, 1),
         Coord::new(0, 2),
     ];
-    // All classifier copies share a kind (same compiled network), so the
-    // runtime can fail over between them when one breaks.
+    // All classifier copies are instances of one compiled network and
+    // share a kind, so the runtime can fail over between them when one
+    // breaks.
+    let classifier = models.compiled_classifier()?;
+    let classifier_tile =
+        |name: &str| NnKernel::instance(Arc::clone(&classifier), name).with_kind("svhn_classifier");
     for (i, &c) in cl_coords.iter().enumerate() {
-        let kernel = flow
-            .ml_accelerator(&models.classifier, &format!("cl{i}"), &CLASSIFIER_REUSE)?
-            .with_kind("svhn_classifier");
-        b = b.accelerator(c, Box::new(kernel));
+        b = b.accelerator(c, Box::new(classifier_tile(&format!("cl{i}"))));
     }
-    let denoiser = flow
-        .ml_accelerator(&models.denoiser, "denoiser", &DENOISER_REUSE)?
-        .with_kind("svhn_denoiser");
+    let denoiser =
+        NnKernel::instance(models.compiled_denoiser()?, "denoiser").with_kind("svhn_denoiser");
     b = b.accelerator(Coord::new(1, 2), Box::new(denoiser));
     // The denoiser pipeline has its own downstream classifier tile (Fig. 6
     // maps the De→Cl chain onto dedicated tiles), bringing SoC-1 to the
     // paper's "up to ten" accelerators.
-    let cl_de = flow
-        .ml_accelerator(&models.classifier, "cl_de", &CLASSIFIER_REUSE)?
-        .with_kind("svhn_classifier");
+    let cl_de = classifier_tile("cl_de");
     b = b.accelerator(Coord::new(2, 2), Box::new(cl_de));
     Ok(b.build()?)
 }
@@ -328,9 +414,7 @@ pub fn build_soc1(models: &TrainedModels) -> Result<Soc, BuildError> {
 ///
 /// Compilation or integration failures.
 pub fn build_soc2(models: &TrainedModels) -> Result<Soc, BuildError> {
-    let flow = Esp4mlFlow::new();
-    let nn = flow.compile_ml(&models.classifier, "cls", &MULTI_TILE_REUSE)?;
-    let parts = nn.split_layers();
+    let parts = models.compiled_multi_tile()?;
     let coords = [
         Coord::new(2, 0),
         Coord::new(0, 1),
@@ -342,8 +426,11 @@ pub fn build_soc2(models: &TrainedModels) -> Result<Soc, BuildError> {
         .processor(Coord::new(0, 0))
         .memory(Coord::new(1, 0))
         .auxiliary(Coord::new(1, 2));
-    for (part, &c) in parts.into_iter().zip(coords.iter()) {
-        b = b.accelerator(c, Box::new(NnKernel::new(part)));
+    for (part, &c) in parts.iter().zip(coords.iter()) {
+        b = b.accelerator(
+            c,
+            Box::new(NnKernel::instance(Arc::clone(part), part.name())),
+        );
     }
     Ok(b.build()?)
 }
@@ -351,6 +438,7 @@ pub fn build_soc2(models: &TrainedModels) -> Result<Soc, BuildError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esp4ml_soc::AcceleratorKernel;
 
     #[test]
     fn soc1_hosts_ten_accelerators() {
@@ -368,6 +456,61 @@ mod tests {
         for i in 0..5 {
             assert!(soc.accel_by_name(&format!("cls_l{i}")).is_some(), "l{i}");
         }
+    }
+
+    /// The kernel of the accelerator named `name`.
+    fn kernel<'a>(soc: &'a Soc, name: &str) -> &'a dyn AcceleratorKernel {
+        let coord = soc.accel_by_name(name).expect(name);
+        soc.accel(coord).expect("accel tile").kernel()
+    }
+
+    /// Whether `name` runs the same compiled network in `a` and `b`.
+    fn shares_network(a: &Soc, b: &Soc, name: &str) -> bool {
+        let network = |soc| {
+            kernel(soc, name)
+                .compiled_network()
+                .expect("an hls4ml kernel")
+        };
+        Arc::ptr_eq(network(a), network(b))
+    }
+
+    #[test]
+    fn soc1_classifier_tiles_share_one_compiled_network() {
+        let soc = build_soc1(&TrainedModels::untrained()).unwrap();
+        let shared = kernel(&soc, "cl0").compiled_network().unwrap();
+        for name in ["cl0", "cl1", "cl2", "cl3", "cl_de"] {
+            let k = kernel(&soc, name);
+            assert!(Arc::ptr_eq(shared, k.compiled_network().unwrap()), "{name}");
+            assert_eq!(k.name(), name);
+            assert_eq!(k.kind(), "svhn_classifier");
+        }
+        let denoiser = kernel(&soc, "denoiser").compiled_network().unwrap();
+        assert!(!Arc::ptr_eq(shared, denoiser));
+    }
+
+    #[test]
+    fn accelerators_compile_on_first_build_only() {
+        let models = TrainedModels::untrained();
+        assert!(models.compiled.classifier.get().is_none());
+        assert!(models.compiled.denoiser.get().is_none());
+        assert!(models.compiled.multi_tile.get().is_none());
+        let (a, b) = (build_soc1(&models).unwrap(), build_soc1(&models).unwrap());
+        assert!(shares_network(&a, &b, "cl0"));
+        assert!(shares_network(&a, &b, "denoiser"));
+        assert!(
+            models.compiled.multi_tile.get().is_none(),
+            "SoC-2 not built yet"
+        );
+        let (a, b) = (build_soc2(&models).unwrap(), build_soc2(&models).unwrap());
+        for i in 0..5 {
+            assert!(shares_network(&a, &b, &format!("cls_l{i}")), "cls_l{i}");
+        }
+        // A clone shares what was already compiled.
+        let copy = models.clone();
+        assert!(Arc::ptr_eq(
+            &copy.compiled_classifier().unwrap(),
+            &models.compiled_classifier().unwrap()
+        ));
     }
 
     #[test]
@@ -416,8 +559,8 @@ mod tests {
     #[test]
     fn untrained_models_have_paper_dims() {
         let m = TrainedModels::untrained();
-        assert_eq!(m.classifier.dims(), vec![1024, 256, 128, 64, 32, 10]);
-        assert_eq!(m.denoiser.dims(), vec![1024, 256, 128, 1024]);
+        assert_eq!(m.classifier().dims(), vec![1024, 256, 128, 64, 32, 10]);
+        assert_eq!(m.denoiser().dims(), vec![1024, 256, 128, 1024]);
         assert!(m.classifier_accuracy.is_none());
     }
 }

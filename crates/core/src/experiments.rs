@@ -18,10 +18,7 @@ use crate::flow::Esp4mlFlow;
 use crate::observe::{ProfileReport, TraceSession};
 use esp4ml_baseline::{Platform, SoftwareApp, Workload};
 use esp4ml_check::Report;
-use esp4ml_runtime::{
-    AppBuffers, Dataflow, EspRuntime, ExecMode, RunMetrics, RunSpec, RuntimeError,
-    RuntimeSnapshot,
-};
+use esp4ml_runtime::{Dataflow, EspRuntime, ExecMode, RunMetrics, RunSpec, RuntimeError};
 use esp4ml_soc::{SanitizerConfig, SocEngine};
 use esp4ml_trace::{TileCoord, TraceEvent};
 use esp4ml_vision::SvhnGenerator;
@@ -111,17 +108,6 @@ impl GridPoint {
     /// Human label ("2NV+2Cl p2p") for progress reporting.
     pub fn label(&self) -> String {
         format!("{} {}", self.app.label(), self.mode.label())
-    }
-
-    /// Canonical config-prefix key: two points share a key exactly when
-    /// their load/config phases are identical — same SoC build, same
-    /// device probe, same `esp_alloc` layout, same input frames — and
-    /// they differ only in execution mode. Points with equal keys can
-    /// share one warm [`PreparedApp`] snapshot instead of each paying
-    /// the prefix from cold. The execution mode is deliberately
-    /// excluded: it only parameterizes the run suffix.
-    pub fn prefix_key(&self) -> String {
-        format!("{}/{}", self.app.app_name(), self.app.label())
     }
 
     /// Executes this point on a freshly built SoC under `engine`.
@@ -552,8 +538,8 @@ impl AppRun {
                 }
             });
         let sw = SoftwareApp::new(
-            Some(models.classifier.clone()),
-            Some(models.denoiser.clone()),
+            Some(models.classifier().clone()),
+            Some(models.denoiser().clone()),
         );
         let mut gen = SvhnGenerator::new(DATA_SEED);
         let mut predictions = Vec::with_capacity(frames as usize);
@@ -607,187 +593,6 @@ impl AppRun {
     /// Energy efficiency in frames per joule.
     pub fn frames_per_joule(&self) -> f64 {
         self.metrics.frames_per_joule(self.watts)
-    }
-}
-
-/// An application loaded once and forked many times.
-///
-/// The load/config phase of a grid point — building the SoC, probing
-/// devices, `esp_alloc`, writing every input frame — is identical for
-/// every execution mode of one configuration ([`GridPoint::prefix_key`]).
-/// `PreparedApp` executes that shared prefix once, captures a warm
-/// [`RuntimeSnapshot`], and each [`PreparedApp::run`] restores the
-/// snapshot before its suffix: N modes cost one prefix instead of N.
-///
-/// Fork safety rests on two facts, both enforced by tests:
-///
-/// * the prefix simulates **zero** cycles and zero architectural events
-///   (configuration and frame loading are host-side DRAM/ioctl writes),
-///   so a fault plan installed after the restore
-///   ([`PreparedApp::run_faulted`]) arms at exactly the same
-///   architectural triggers as one installed before the prefix;
-/// * [`EspRuntime::restore`] replaces machine state wholesale —
-///   registers, PLM contents, sanitizer ledgers, fault trigger counts,
-///   allocator and counters — so no suffix can leak into the next one,
-///   which is what makes every forked run byte-identical to a cold
-///   start.
-pub struct PreparedApp {
-    app: CaseApp,
-    models: TrainedModels,
-    frames: u64,
-    dataflow: Dataflow,
-    rt: EspRuntime,
-    buf: AppBuffers,
-    labels: Vec<usize>,
-    watts: f64,
-    warm: RuntimeSnapshot,
-}
-
-impl PreparedApp {
-    /// Executes the shared load/config prefix for `app` under `engine`
-    /// and captures the warm fork point. With `sanitize` set the runtime
-    /// sanitizer is armed before the snapshot, so every fork audits its
-    /// run and fails with [`ExperimentError::Sanitizer`] on violations.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures during the prefix.
-    pub fn load(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        engine: SocEngine,
-        sanitize: bool,
-    ) -> Result<PreparedApp, ExperimentError> {
-        let mut soc = app.build_soc(models)?;
-        soc.set_engine(engine);
-        if sanitize {
-            soc.enable_sanitizer(SanitizerConfig::all());
-        }
-        let dataflow = app.dataflow();
-        // Power is structure-derived (no simulation), so the prefix can
-        // price the SoC once for every fork.
-        let watts = Esp4mlFlow::new().estimate_power(&soc).total_watts();
-        let mut rt = EspRuntime::new(soc)?;
-        let buf = rt.prepare(&dataflow, frames)?;
-        let mut gen = SvhnGenerator::new(DATA_SEED);
-        let mut labels = Vec::with_capacity(frames as usize);
-        for f in 0..frames {
-            let (image, label) = app.input_frame(&mut gen);
-            rt.write_frame(&buf, f, &encode_image(&image))?;
-            labels.push(label);
-        }
-        let warm = rt.snapshot();
-        Ok(PreparedApp {
-            app: *app,
-            models: models.clone(),
-            frames,
-            dataflow,
-            buf,
-            labels,
-            watts,
-            warm,
-            rt,
-        })
-    }
-
-    /// The configuration this prefix was loaded for.
-    pub fn app(&self) -> &CaseApp {
-        &self.app
-    }
-
-    /// The dataflow the prefix prepared.
-    pub fn dataflow(&self) -> &Dataflow {
-        &self.dataflow
-    }
-
-    /// Forks the warm snapshot and runs the suffix in `mode`, producing
-    /// the same [`AppRun`] a cold [`AppRun::execute_on`] would.
-    ///
-    /// # Errors
-    ///
-    /// Runtime failures, or [`ExperimentError::Sanitizer`] when the
-    /// prefix was loaded sanitized and the run violated invariants.
-    pub fn run(&mut self, mode: ExecMode) -> Result<AppRun, ExperimentError> {
-        self.fork(mode, None)
-    }
-
-    /// Forks the warm snapshot and runs the suffix in `mode` under
-    /// injected hardware faults, producing the same [`AppRun`] a cold
-    /// [`AppRun::execute_faulted`] would: the plan is installed on the
-    /// freshly restored SoC (equivalent to pre-prefix installation —
-    /// the prefix fires no triggers) and the watchdog/retry/failover
-    /// recovery layer is armed.
-    ///
-    /// # Errors
-    ///
-    /// Runtime failures the recovery machinery could not absorb.
-    pub fn run_faulted(
-        &mut self,
-        mode: ExecMode,
-        faults: &FaultConfig,
-    ) -> Result<AppRun, ExperimentError> {
-        self.fork(mode, Some(faults))
-    }
-
-    fn fork(
-        &mut self,
-        mode: ExecMode,
-        faults: Option<&FaultConfig>,
-    ) -> Result<AppRun, ExperimentError> {
-        self.rt.restore(&self.warm)?;
-        if let Some(fc) = faults {
-            if !fc.plan.is_empty() {
-                self.rt.soc_mut().install_fault_plan(&fc.plan);
-            }
-        }
-        let run_label = format!("{} {}", self.app.label(), mode.label());
-        let mut spec = RunSpec::new(&self.dataflow).mode(mode);
-        if let Some(fc) = faults {
-            spec = spec
-                .watchdog_cycles(fc.watchdog_cycles)
-                .recover(fc.recovery);
-        }
-        let metrics = match self.rt.run(&spec, &self.buf) {
-            Ok(m) => m,
-            Err(RuntimeError::Timeout { .. })
-                if faults.is_some_and(|fc| fc.software_fallback) =>
-            {
-                return AppRun::software_fallback(
-                    &self.app,
-                    &self.models,
-                    self.frames,
-                    mode,
-                    &self.rt,
-                    self.labels.clone(),
-                );
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let sanitizer = match self.rt.soc().sanitizer_report() {
-            Some(report) if report.has_errors() => {
-                return Err(ExperimentError::Sanitizer {
-                    label: run_label,
-                    report,
-                });
-            }
-            verdict => verdict,
-        };
-        let mut predictions = Vec::with_capacity(self.frames as usize);
-        for f in 0..self.frames {
-            let logits = decode_values(&self.rt.read_frame(&self.buf, f)?);
-            predictions.push(argmax(&logits));
-        }
-        Ok(AppRun {
-            label: self.app.label(),
-            mode,
-            metrics,
-            watts: self.watts,
-            predictions,
-            labels: self.labels.clone(),
-            sanitizer,
-            software_fallback: false,
-        })
     }
 }
 
@@ -1408,45 +1213,6 @@ mod tests {
         assert_eq!(report.run.frames, 2);
     }
 
-    /// Forking one warm prefix across every execution mode reproduces
-    /// each mode's cold-start run exactly.
-    #[test]
-    fn prepared_app_forks_match_cold_starts() {
-        let m = models();
-        let app = CaseApp::NightVisionClassifier { nv: 2, cl: 2 };
-        let mut prepared = PreparedApp::load(&app, &m, 2, SocEngine::EventDriven, false).unwrap();
-        for mode in ExecMode::ALL {
-            let cold = AppRun::execute_on(&app, &m, 2, mode, SocEngine::EventDriven).unwrap();
-            let forked = prepared.run(mode).unwrap();
-            assert_eq!(forked.metrics, cold.metrics, "{mode:?}");
-            assert_eq!(forked.predictions, cold.predictions, "{mode:?}");
-            assert_eq!(forked.labels, cold.labels);
-            assert_eq!(forked.watts, cold.watts);
-            assert_eq!(forked.label, cold.label);
-        }
-    }
-
-    /// The fig7 grid is config-major, so its 15 points collapse into 5
-    /// contiguous prefix groups of 3 modes each.
-    #[test]
-    fn fig7_prefix_keys_form_five_groups_of_three() {
-        let grid = Fig7::grid();
-        assert_eq!(grid.len(), 15);
-        let mut keys: Vec<String> = Vec::new();
-        for p in &grid {
-            let k = p.prefix_key();
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-        assert_eq!(keys.len(), 5, "{keys:?}");
-        for chunk in grid.chunks(3) {
-            assert!(chunk
-                .iter()
-                .all(|p| p.prefix_key() == chunk[0].prefix_key()));
-        }
-    }
-
     #[test]
     fn night_vision_pipeline_runs_p2p() {
         let run = AppRun::execute(
@@ -1503,12 +1269,12 @@ impl AccuracyReport {
         use esp4ml_nn::Matrix;
 
         let app_sw = SoftwareApp::new(
-            Some(models.classifier.clone()),
-            Some(models.denoiser.clone()),
+            Some(models.classifier().clone()),
+            Some(models.denoiser().clone()),
         );
         let classify_float = |image: &[f32]| -> usize {
             let x = Matrix::from_vec(1, image.len(), image.to_vec());
-            models.classifier.predict_classes(&x)[0]
+            models.classifier().predict_classes(&x)[0]
         };
 
         // Replicate the exact frame sequences the SoC runs see.

@@ -13,7 +13,7 @@
 //! `espfault` binary prints.
 
 use crate::apps::{CaseApp, TrainedModels};
-use crate::experiments::{AppRun, ExperimentError, GridPoint, PreparedApp};
+use crate::experiments::{AppRun, ExperimentError};
 use esp4ml_check::{codes, Diagnostic, Report};
 use esp4ml_fault::{CampaignTargets, FaultClass, FaultKind, FaultPlan};
 use esp4ml_noc::Plane;
@@ -204,13 +204,6 @@ impl CampaignReport {
     /// class with recovery armed ([`CAMPAIGN_WATCHDOG_CYCLES`], default
     /// [`RecoveryPolicy`], software fallback on).
     ///
-    /// The load/config prefix of each pipeline is executed once and
-    /// forked across every run via a warmed pre-fault
-    /// [`PreparedApp`] checkpoint: the prefix simulates zero cycles and
-    /// fires no fault triggers, and each fork restores machine state
-    /// wholesale before installing its plan, so the report is
-    /// byte-identical to [`CampaignReport::generate_cold`].
-    ///
     /// # Errors
     ///
     /// Build failures. Runtime failures of faulted runs are *verdicts*
@@ -221,56 +214,9 @@ impl CampaignReport {
         frames: u64,
         engine: SocEngine,
     ) -> Result<CampaignReport, ExperimentError> {
-        Self::generate_with(models, seeds, frames, engine, true)
-    }
-
-    /// [`CampaignReport::generate`] without prefix forking: every run
-    /// pays its own cold-start load/config phase. The trivially
-    /// auditable oracle the fork path is checked against.
-    ///
-    /// # Errors
-    ///
-    /// Build failures. Runtime failures of faulted runs are *verdicts*
-    /// (`status == "failed"`), not errors.
-    pub fn generate_cold(
-        models: &TrainedModels,
-        seeds: &[u64],
-        frames: u64,
-        engine: SocEngine,
-    ) -> Result<CampaignReport, ExperimentError> {
-        Self::generate_with(models, seeds, frames, engine, false)
-    }
-
-    fn generate_with(
-        models: &TrainedModels,
-        seeds: &[u64],
-        frames: u64,
-        engine: SocEngine,
-        fork: bool,
-    ) -> Result<CampaignReport, ExperimentError> {
         let mut cases = Vec::new();
-        // One warmed pre-fault checkpoint per config prefix, shared by
-        // the healthy reference and every seed × fault class of both
-        // execution modes (the mode only parameterizes the suffix).
-        let mut warmed: Vec<(String, PreparedApp)> = Vec::new();
         for (app, mode) in Self::grid() {
-            let key = GridPoint { app, mode }.prefix_key();
-            let mut prepared = if fork {
-                let idx = match warmed.iter().position(|(k, _)| *k == key) {
-                    Some(i) => i,
-                    None => {
-                        warmed.push((key, PreparedApp::load(&app, models, frames, engine, false)?));
-                        warmed.len() - 1
-                    }
-                };
-                Some(&mut warmed[idx].1)
-            } else {
-                None
-            };
-            let healthy = match prepared.as_mut() {
-                Some(p) => p.run(mode)?,
-                None => AppRun::execute_on(&app, models, frames, mode, engine)?,
-            };
+            let healthy = AppRun::execute_on(&app, models, frames, mode, engine)?;
             let devices: Vec<String> = app
                 .dataflow()
                 .stages
@@ -298,13 +244,9 @@ impl CampaignReport {
                         recovery: RecoveryPolicy::default(),
                         software_fallback: true,
                     };
-                    let result = match prepared.as_mut() {
-                        Some(p) => p.run_faulted(mode, &config),
-                        None => {
-                            AppRun::execute_faulted(&app, models, frames, mode, engine, &config)
-                        }
-                    };
-                    let case = match result {
+                    let case = match AppRun::execute_faulted(
+                        &app, models, frames, mode, engine, &config,
+                    ) {
                         Ok(run) => {
                             let status = if run.software_fallback {
                                 "degraded"
@@ -498,18 +440,6 @@ mod tests {
                 drop_words: 4,
             }));
         assert!(lint_fault_plan(&plan, &hosted()).is_clean());
-    }
-
-    /// The forked campaign (one warmed pre-fault checkpoint per
-    /// pipeline, restored before every seed × fault class) produces the
-    /// byte-identical artifact of the cold-start oracle.
-    #[test]
-    fn forked_campaign_matches_cold_oracle() {
-        let m = TrainedModels::untrained();
-        let forked = CampaignReport::generate(&m, &[1], 2, SocEngine::EventDriven).unwrap();
-        let cold = CampaignReport::generate_cold(&m, &[1], 2, SocEngine::EventDriven).unwrap();
-        assert_eq!(forked.to_json().unwrap(), cold.to_json().unwrap());
-        assert!(forked.cases.iter().any(|c| c.status != "clean"));
     }
 
     #[test]

@@ -276,7 +276,7 @@ mod tests {
         let mut reg = CounterRegistry::new();
         reg.set("soc.cycles", 100);
         let mut series = CounterSeries::new(100);
-        series.record(100, reg.snapshot());
+        series.record(100, reg.capture());
         s.record_run("app p2p".into(), Some(series), NocStats::new());
         let csv = s.counters_csv();
         let lines: Vec<&str> = csv.lines().collect();

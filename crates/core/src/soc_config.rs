@@ -166,10 +166,10 @@ impl SocConfigFile {
                 TileSpecKind::MlModel { name, model, reuse } => {
                     let nn = match model {
                         MlModelRef::Classifier => {
-                            flow.compile_ml(&models.classifier, name, &normalize(reuse))?
+                            flow.compile_ml(models.classifier(), name, &normalize(reuse))?
                         }
                         MlModelRef::Denoiser => {
-                            flow.compile_ml(&models.denoiser, name, &normalize(reuse))?
+                            flow.compile_ml(models.denoiser(), name, &normalize(reuse))?
                         }
                         MlModelRef::Files { topology, weights } => {
                             let cfg = if reuse.is_empty() {

@@ -74,7 +74,7 @@ impl Error for AllocError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContigAlloc {
     base: u64,
     size: u64,

@@ -55,39 +55,16 @@ impl DramStats {
     }
 }
 
-/// Serializable image of a [`Dram`]: stats plus the written contents as
-/// sparse nonzero spans. The default DRAM is 32 M words, almost all of
-/// them zero, so a dense image would be prohibitive both to build and to
-/// serialize; spans keep snapshot cost proportional to the words the run
-/// actually touched.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DramState {
-    /// Access counters at capture time.
-    pub stats: DramStats,
-    /// Dirty-window low watermark (lowest word address ever written).
-    pub dirty_lo: u64,
-    /// Dirty-window high watermark (one past the highest written word).
-    pub dirty_hi: u64,
-    /// Nonzero content spans: `(start word address, contiguous words)`.
-    pub spans: Vec<(u64, Vec<u64>)>,
-}
-
 /// A word-addressable DRAM with burst accounting.
 ///
 /// Storage is dense (`Vec<u64>`), so construction cost is proportional to
 /// capacity; the default 256 MiB model allocates once and reuses pages
-/// lazily via the OS. Writes maintain a dirty window (`[dirty_lo,
-/// dirty_hi)`) so snapshot and restore only touch the region a run has
-/// actually written, never the full capacity.
+/// lazily via the OS.
 #[derive(Debug, Clone)]
 pub struct Dram {
     config: DramConfig,
     words: Vec<u64>,
     stats: DramStats,
-    /// Lowest word address ever written (`u64::MAX` when clean).
-    dirty_lo: u64,
-    /// One past the highest word address ever written (0 when clean).
-    dirty_hi: u64,
 }
 
 impl Dram {
@@ -97,73 +74,7 @@ impl Dram {
             words: vec![0; config.size_words as usize],
             config,
             stats: DramStats::default(),
-            dirty_lo: u64::MAX,
-            dirty_hi: 0,
         }
-    }
-
-    /// Widens the dirty window to cover `[addr, addr + len)`.
-    #[inline]
-    fn mark_dirty(&mut self, addr: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        self.dirty_lo = self.dirty_lo.min(addr);
-        self.dirty_hi = self.dirty_hi.max(addr + len);
-    }
-
-    /// Captures stats and contents as a sparse [`DramState`]. Cost is
-    /// proportional to the dirty window, not the DRAM capacity.
-    pub fn state(&self) -> DramState {
-        let mut spans: Vec<(u64, Vec<u64>)> = Vec::new();
-        let (lo, hi) = (self.dirty_lo, self.dirty_hi);
-        if lo < hi {
-            let mut open: Option<(u64, Vec<u64>)> = None;
-            for addr in lo..hi {
-                let w = self.words[addr as usize];
-                if w != 0 {
-                    open.get_or_insert_with(|| (addr, Vec::new())).1.push(w);
-                } else if let Some(span) = open.take() {
-                    spans.push(span);
-                }
-            }
-            if let Some(span) = open.take() {
-                spans.push(span);
-            }
-        }
-        DramState {
-            stats: self.stats,
-            dirty_lo: self.dirty_lo,
-            dirty_hi: self.dirty_hi,
-            spans,
-        }
-    }
-
-    /// Restores stats and contents captured by [`Dram::state`]: the
-    /// current dirty window is zero-filled, the snapshot's spans are
-    /// re-applied and the watermarks are reset to the snapshot's. Cost
-    /// is proportional to the wider of the two dirty windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a span falls outside this DRAM's capacity (i.e. the
-    /// state was captured from a larger device).
-    pub fn restore_state(&mut self, state: &DramState) {
-        if self.dirty_lo < self.dirty_hi {
-            let (lo, hi) = (self.dirty_lo as usize, self.dirty_hi as usize);
-            self.words[lo..hi].fill(0);
-        }
-        for (addr, data) in &state.spans {
-            let end = addr + data.len() as u64;
-            assert!(
-                end <= self.config.size_words,
-                "DRAM restore span [{addr}, {end}) out of bounds"
-            );
-            self.words[*addr as usize..end as usize].copy_from_slice(data);
-        }
-        self.stats = state.stats;
-        self.dirty_lo = state.dirty_lo;
-        self.dirty_hi = state.dirty_hi;
     }
 
     /// The configuration this device was built with.
@@ -230,7 +141,6 @@ impl Dram {
         self.stats.word_writes += len;
         self.stats.write_bursts += 1;
         self.stats.busy_cycles += self.burst_latency(len);
-        self.mark_dirty(addr, len);
         self.words[addr as usize..(addr + len) as usize].copy_from_slice(data);
     }
 
@@ -243,7 +153,6 @@ impl Dram {
 
     /// Writes a single word without accounting (testbench initialization).
     pub fn poke(&mut self, addr: u64, value: u64) {
-        self.mark_dirty(addr, 1);
         self.words[addr as usize] = value;
     }
 
@@ -319,35 +228,6 @@ mod tests {
         d.write_burst(0, &[1]);
         d.reset_stats();
         assert_eq!(d.stats(), &DramStats::default());
-    }
-
-    #[test]
-    fn state_captures_sparse_spans() {
-        let mut d = small();
-        d.write_burst(10, &[1, 2, 0, 0, 3]);
-        d.poke(500, 7);
-        let s = d.state();
-        assert_eq!(s.spans, vec![(10, vec![1, 2]), (14, vec![3]), (500, vec![7])]);
-        assert_eq!((s.dirty_lo, s.dirty_hi), (10, 501));
-
-        // Diverge, then restore: contents and stats return exactly.
-        d.write_burst(600, &[9; 8]);
-        d.poke(11, 42);
-        d.restore_state(&s);
-        assert_eq!(d.state(), s);
-        assert_eq!(d.peek(11), 2);
-        assert_eq!(d.peek(600), 0);
-        assert_eq!(d.stats(), &s.stats);
-    }
-
-    #[test]
-    fn restore_on_clean_dram_reinstates_contents() {
-        let mut a = small();
-        a.write_burst(0, &[5, 0, 6]);
-        let s = a.state();
-        let mut b = small();
-        b.restore_state(&s);
-        assert_eq!(b.read_burst(0, 3), vec![5, 0, 6]);
     }
 
     #[test]

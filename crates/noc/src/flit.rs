@@ -113,17 +113,6 @@ pub(crate) struct Reassembler {
 }
 
 impl Reassembler {
-    /// Captures the partial reassembly in progress (head flit plus the
-    /// payload words accumulated so far) for a simulation snapshot.
-    pub(crate) fn state(&self) -> Option<(Flit, Vec<u64>)> {
-        self.current.clone()
-    }
-
-    /// Restores a partial reassembly captured by [`Reassembler::state`].
-    pub(crate) fn restore_state(&mut self, state: Option<(Flit, Vec<u64>)>) {
-        self.current = state;
-    }
-
     /// Feeds one flit; returns a completed packet when the tail arrives,
     /// plus any wormhole violation the flit exposed. On violation the
     /// reassembler keeps the pre-existing recovery behaviour (an

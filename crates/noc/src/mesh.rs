@@ -2,9 +2,9 @@
 
 use crate::flit::{Flit, ReasmViolation, Reassembler};
 use crate::heatmap::{LinkLoad, NocHeatmap, PlaneHeatmap};
-use crate::router::{Port, Router, RouterConfig, RouterState, Transfer};
-use crate::sanitizer::{expected_planes, plane_carries, MeshSanitizer, MeshSanitizerState};
-use crate::schedule::{Progress, Schedulable};
+use crate::router::{Port, Router, RouterConfig, Transfer};
+use crate::sanitizer::{expected_planes, plane_carries, MeshSanitizer};
+use crate::schedule::Progress;
 use crate::{Coord, MsgKind, NocError, NocStats, Packet, Plane};
 use esp4ml_check::{codes, Diagnostic, Report, SanitizerConfig};
 use esp4ml_fault::{CycleWindow, FaultKind, FaultSpec};
@@ -113,102 +113,6 @@ struct MeshFaults {
     delayed: VecDeque<DelayedPacket>,
     /// Total fault firings so far.
     fired: u64,
-}
-
-/// One armed NoC link-delay fault in a [`MeshState`], including how far
-/// its trigger has advanced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DelayFaultState {
-    /// NoC plane index the fault watches.
-    pub plane: usize,
-    /// First affected packet index.
-    pub from_packet: u64,
-    /// Number of consecutive affected packets.
-    pub count: u64,
-    /// Extra cycles each affected packet is held before injection.
-    pub extra_cycles: u64,
-    /// Cycle window in which the fault is armed.
-    pub window: CycleWindow,
-}
-
-/// One armed flit-corruption fault in a [`MeshState`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CorruptFaultState {
-    /// NoC plane index the fault watches.
-    pub plane: usize,
-    /// First affected packet index.
-    pub from_packet: u64,
-    /// Number of consecutive affected packets.
-    pub count: u64,
-    /// XOR mask applied to one payload word.
-    pub xor_mask: u64,
-    /// Cycle window in which the fault is armed.
-    pub window: CycleWindow,
-}
-
-/// A packet held back by link degradation at snapshot time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DelayedPacketState {
-    /// Dense tile index of the injecting endpoint.
-    pub tile: usize,
-    /// Plane the packet rides.
-    pub plane: Plane,
-    /// The packet's flits, in order.
-    pub flits: Vec<Flit>,
-    /// Cycle at which the packet is released into the network.
-    pub release: u64,
-}
-
-/// The fault-plan state of a mesh: armed specs *plus* their trigger
-/// counters and any packets currently held back. Trigger counters must
-/// be captured so a restored run fires the same faults at the same
-/// architectural events as an uninterrupted run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MeshFaultsState {
-    /// Armed link-delay faults.
-    pub delays: Vec<DelayFaultState>,
-    /// Armed flit-corruption faults.
-    pub corrupts: Vec<CorruptFaultState>,
-    /// Packets injected per plane since installation.
-    pub inject_seen: [u64; Plane::COUNT],
-    /// Data-bearing packets delivered per plane.
-    pub data_ejected: [u64; Plane::COUNT],
-    /// Packets held back by link degradation, in injection order.
-    pub delayed: Vec<DelayedPacketState>,
-    /// Total fault firings so far.
-    pub fired: u64,
-}
-
-/// One tile/plane endpoint in a [`MeshState`]: the injection FIFO,
-/// ejected-but-unread packets and any partial reassembly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EndpointState {
-    /// Flits queued for injection, in order.
-    pub inject: Vec<Flit>,
-    /// Complete packets awaiting ejection by the tile.
-    pub eject: Vec<Packet>,
-    /// Partial reassembly: head flit plus accumulated payload words.
-    pub reasm: Option<(Flit, Vec<u64>)>,
-}
-
-/// Complete serializable dynamic state of a [`Mesh`]: every in-flight
-/// flit, router queue, endpoint buffer, statistic, sanitizer ledger and
-/// fault trigger counter. Captured by [`Mesh::state`]; restoring it via
-/// [`Mesh::restore_state`] resumes the network byte-identically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MeshState {
-    /// The mesh cycle counter.
-    pub cycle: u64,
-    /// Aggregate per-plane statistics.
-    pub stats: NocStats,
-    /// Per-router dynamic state, in dense tile order.
-    pub routers: Vec<RouterState>,
-    /// Per-tile, per-plane endpoint state.
-    pub endpoints: Vec<Vec<EndpointState>>,
-    /// Sanitizer ledger, when a sanitizer is installed.
-    pub sanitizer: Option<MeshSanitizerState>,
-    /// Fault-plan state, when NoC faults are armed.
-    pub faults: Option<MeshFaultsState>,
 }
 
 /// Whether a delivered packet carries corruptible data words in its
@@ -343,148 +247,6 @@ impl Mesh {
     /// Whether a sanitizer is installed.
     pub fn sanitizer_enabled(&self) -> bool {
         self.sanitizer.is_some()
-    }
-
-    /// Captures the complete dynamic state of the mesh — every router
-    /// queue, wormhole lock, endpoint buffer, in-flight or held-back
-    /// flit, statistic, sanitizer ledger and fault trigger counter. The
-    /// tracer is *not* captured: it is a live host-side handle, and
-    /// trace events already emitted belong to the past of the run being
-    /// forked.
-    pub fn state(&self) -> MeshState {
-        MeshState {
-            cycle: self.cycle,
-            stats: self.stats.clone(),
-            routers: self.routers.iter().map(Router::state).collect(),
-            endpoints: self
-                .endpoints
-                .iter()
-                .map(|planes| {
-                    planes
-                        .iter()
-                        .map(|ep| EndpointState {
-                            inject: ep.inject.iter().cloned().collect(),
-                            eject: ep.eject.iter().cloned().collect(),
-                            reasm: ep.reasm.state(),
-                        })
-                        .collect()
-                })
-                .collect(),
-            sanitizer: self.sanitizer.as_ref().map(|s| s.state()),
-            faults: self.faults.as_ref().map(|f| MeshFaultsState {
-                delays: f
-                    .delays
-                    .iter()
-                    .map(|d| DelayFaultState {
-                        plane: d.plane,
-                        from_packet: d.from_packet,
-                        count: d.count,
-                        extra_cycles: d.extra_cycles,
-                        window: d.window,
-                    })
-                    .collect(),
-                corrupts: f
-                    .corrupts
-                    .iter()
-                    .map(|c| CorruptFaultState {
-                        plane: c.plane,
-                        from_packet: c.from_packet,
-                        count: c.count,
-                        xor_mask: c.xor_mask,
-                        window: c.window,
-                    })
-                    .collect(),
-                inject_seen: f.inject_seen,
-                data_ejected: f.data_ejected,
-                delayed: f
-                    .delayed
-                    .iter()
-                    .map(|d| DelayedPacketState {
-                        tile: d.tile,
-                        plane: d.plane,
-                        flits: d.flits.clone(),
-                        release: d.release,
-                    })
-                    .collect(),
-                fired: f.fired,
-            }),
-        }
-    }
-
-    /// Restores dynamic state captured by [`Mesh::state`].
-    ///
-    /// The structural configuration (dimensions, queue depths, routing
-    /// tables) is kept; sanitizer and fault-plan state are *replaced*
-    /// wholesale — restoring a fault-free snapshot onto a mesh with an
-    /// installed plan uninstalls that plan, which is what lets one
-    /// warmed checkpoint fork into both healthy and faulty campaign
-    /// points.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the state's router/endpoint shape does not match
-    /// this mesh (the caller validates structural compatibility first).
-    pub fn restore_state(&mut self, state: &MeshState) {
-        assert_eq!(state.routers.len(), self.routers.len(), "router count");
-        assert_eq!(state.endpoints.len(), self.endpoints.len(), "tile count");
-        self.cycle = state.cycle;
-        self.stats = state.stats.clone();
-        for (r, rs) in self.routers.iter_mut().zip(&state.routers) {
-            r.restore_state(rs);
-        }
-        for (planes, ps) in self.endpoints.iter_mut().zip(&state.endpoints) {
-            assert_eq!(ps.len(), planes.len(), "plane count");
-            for (ep, es) in planes.iter_mut().zip(ps) {
-                ep.inject.clear();
-                ep.inject.extend(es.inject.iter().cloned());
-                ep.eject.clear();
-                ep.eject.extend(es.eject.iter().cloned());
-                ep.reasm.restore_state(es.reasm.clone());
-            }
-        }
-        self.sanitizer = state
-            .sanitizer
-            .as_ref()
-            .map(|s| Box::new(MeshSanitizer::from_state(s)));
-        self.faults = state.faults.as_ref().map(|f| {
-            Box::new(MeshFaults {
-                delays: f
-                    .delays
-                    .iter()
-                    .map(|d| DelayFault {
-                        plane: d.plane,
-                        from_packet: d.from_packet,
-                        count: d.count,
-                        extra_cycles: d.extra_cycles,
-                        window: d.window,
-                    })
-                    .collect(),
-                corrupts: f
-                    .corrupts
-                    .iter()
-                    .map(|c| CorruptFault {
-                        plane: c.plane,
-                        from_packet: c.from_packet,
-                        count: c.count,
-                        xor_mask: c.xor_mask,
-                        window: c.window,
-                    })
-                    .collect(),
-                inject_seen: f.inject_seen,
-                data_ejected: f.data_ejected,
-                delayed: f
-                    .delayed
-                    .iter()
-                    .map(|d| DelayedPacket {
-                        tile: d.tile,
-                        plane: d.plane,
-                        flits: d.flits.clone(),
-                        release: d.release,
-                    })
-                    .collect(),
-                fired: f.fired,
-            })
-        });
     }
 
     /// The sanitizer verdict so far: `None` when no sanitizer is
@@ -1219,23 +981,6 @@ impl Mesh {
         if self.sanitizer.is_some() {
             self.sanitize_audit();
         }
-    }
-}
-
-impl Schedulable for Mesh {
-    type Fabric = ();
-
-    fn tick(&mut self, _fabric: &mut ()) -> Progress {
-        Mesh::tick(self);
-        Mesh::progress(self)
-    }
-
-    fn progress(&self, _now: u64) -> Progress {
-        Mesh::progress(self)
-    }
-
-    fn advance(&mut self, delta: u64) {
-        Mesh::advance(self, delta);
     }
 }
 

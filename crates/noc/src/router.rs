@@ -128,37 +128,6 @@ impl PlaneRouter {
     }
 }
 
-/// Serializable dynamic state of one plane of a router: input FIFOs,
-/// wormhole locks and round-robin arbitration pointers. Part of
-/// [`RouterState`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlaneRouterState {
-    /// Input FIFO contents per port (head of queue first).
-    pub inputs: Vec<Vec<Flit>>,
-    /// For each output port, the input port holding the wormhole.
-    pub locks: Vec<Option<Port>>,
-    /// Round-robin arbitration pointer per output port.
-    pub rr: Vec<usize>,
-}
-
-/// Serializable dynamic state of a [`Router`] for simulation snapshots.
-///
-/// The routing table is *not* captured: it is deterministically rebuilt
-/// from the coordinate and mesh dimensions, so restore assumes the
-/// default XY table (or an unchanged custom table). The structural
-/// [`RouterConfig`] is likewise validated, not restored.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RouterState {
-    /// Per-plane queues, locks and arbitration pointers.
-    pub planes: Vec<PlaneRouterState>,
-    /// Flits forwarded onto mesh links (all planes).
-    pub forwarded_flits: u64,
-    /// Per-`(plane, port)` link occupancy counters.
-    pub link_flits: Vec<[u64; Port::COUNT]>,
-    /// Per-plane credit-stall counters.
-    pub credit_stalls: Vec<u64>,
-}
-
 /// A single mesh router: five ports, one queue set per plane, XY routing.
 ///
 /// Routers are stepped by the [`Mesh`](crate::Mesh) in two phases per cycle
@@ -233,54 +202,6 @@ impl Router {
     /// Replaces the routing table (for custom-route experiments).
     pub fn set_table(&mut self, table: RoutingTable) {
         self.table = table;
-    }
-
-    /// Captures the router's dynamic state for a simulation snapshot.
-    pub fn state(&self) -> RouterState {
-        RouterState {
-            planes: self
-                .planes
-                .iter()
-                .map(|pr| PlaneRouterState {
-                    inputs: pr
-                        .inputs
-                        .iter()
-                        .map(|q| q.iter().cloned().collect())
-                        .collect(),
-                    locks: pr.locks.to_vec(),
-                    rr: pr.rr.to_vec(),
-                })
-                .collect(),
-            forwarded_flits: self.forwarded_flits,
-            link_flits: self.link_flits.clone(),
-            credit_stalls: self.credit_stalls.clone(),
-        }
-    }
-
-    /// Restores dynamic state captured by [`Router::state`]. The routing
-    /// table and configuration are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics when plane or port counts disagree with this router — the
-    /// caller ([`Mesh`](crate::Mesh) restore) validates structural
-    /// compatibility first, so a mismatch here is a simulator bug.
-    pub fn restore_state(&mut self, state: &RouterState) {
-        assert_eq!(state.planes.len(), self.planes.len(), "plane count");
-        for (pr, ps) in self.planes.iter_mut().zip(&state.planes) {
-            assert_eq!(ps.inputs.len(), Port::COUNT, "port count");
-            assert_eq!(ps.locks.len(), Port::COUNT, "lock count");
-            assert_eq!(ps.rr.len(), Port::COUNT, "rr count");
-            for (q, src) in pr.inputs.iter_mut().zip(&ps.inputs) {
-                q.clear();
-                q.extend(src.iter().cloned());
-            }
-            pr.locks.copy_from_slice(&ps.locks);
-            pr.rr.copy_from_slice(&ps.rr);
-        }
-        self.forwarded_flits = state.forwarded_flits;
-        self.link_flits.clone_from(&state.link_flits);
-        self.credit_stalls.clone_from(&state.credit_stalls);
     }
 
     /// Free slots in the input queue `(plane, port)`.

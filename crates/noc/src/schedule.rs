@@ -4,11 +4,12 @@
 //! The naive engine calls `tick()` on every component every cycle. Most of
 //! those ticks are *boring*: a DRAM burst counting down its latency, a
 //! DVFS-divided datapath burning compute cycles, an accelerator spinning
-//! on data that has not arrived. [`Schedulable`] lets a component report,
-//! via [`Progress`], when its next *interesting* tick is — the earliest
-//! future cycle at which it can possibly change externally observable
-//! state — so the driver can jump the global clock there directly and
-//! bulk-apply the skipped boring cycles with [`Schedulable::advance`].
+//! on data that has not arrived. Each component therefore also has a
+//! `progress(now)` method that reports, via [`Progress`], when its next
+//! *interesting* tick is — the earliest future cycle at which it can
+//! possibly change externally observable state — so the driver can jump
+//! the global clock there directly and bulk-apply the skipped boring
+//! cycles with the component's `advance(delta)`.
 //!
 //! The contract that keeps fast-forward cycle-exact with the naive engine:
 //!
@@ -63,27 +64,6 @@ impl Progress {
             (Progress::Quiescent, Progress::Quiescent) => Progress::Quiescent,
         }
     }
-}
-
-/// The event-driven ticking contract: tick against a fabric, report
-/// progress, and bulk-apply skipped boring cycles.
-pub trait Schedulable {
-    /// The fabric the component ticks against (`Mesh` for tiles, `()` for
-    /// the mesh itself).
-    type Fabric: ?Sized;
-
-    /// Advances the component by one cycle and reports its progress.
-    fn tick(&mut self, fabric: &mut Self::Fabric) -> Progress;
-
-    /// Reports progress without ticking: what would the component do at
-    /// cycle `now`?
-    fn progress(&self, now: u64) -> Progress;
-
-    /// Bulk-applies `delta` boring cycles: deterministic internal counters
-    /// (latency countdowns, busy/stall statistics) advance exactly as
-    /// `delta` naive ticks would have. The caller guarantees `delta` does
-    /// not cross the component's reported wake cycle.
-    fn advance(&mut self, delta: u64);
 }
 
 #[cfg(test)]

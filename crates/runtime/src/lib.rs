@@ -68,6 +68,4 @@ pub use dataflow::{Dataflow, ExecMode, StageSpec};
 pub use error::RuntimeError;
 pub use metrics::RunMetrics;
 pub use registry::{DeviceInfo, DeviceRegistry};
-pub use runtime::{
-    AppBuffers, EspRuntime, RecoveryPolicy, RunSpec, RuntimeSnapshot, DEFAULT_WATCHDOG_CYCLES,
-};
+pub use runtime::{AppBuffers, EspRuntime, RecoveryPolicy, RunSpec, DEFAULT_WATCHDOG_CYCLES};

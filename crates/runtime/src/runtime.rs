@@ -4,7 +4,7 @@ use crate::{Dataflow, DeviceInfo, DeviceRegistry, ExecMode, RunMetrics, RuntimeE
 use esp4ml_check::{codes, Diagnostic};
 use esp4ml_mem::{ContigAlloc, ContigHandle};
 use esp4ml_noc::Coord;
-use esp4ml_soc::{AccelConfig, Soc, SocSnapshot};
+use esp4ml_soc::{AccelConfig, Soc};
 use esp4ml_trace::{CounterRegistry, TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -226,37 +226,6 @@ impl AppBuffers {
     }
 }
 
-/// The complete serializable state of an [`EspRuntime`]: the machine
-/// snapshot plus the software state layered on top of it.
-///
-/// Captured alongside the [`SocSnapshot`]:
-///
-/// * `alloc` — the contiguous allocator, so a forked runtime can keep
-///   allocating without colliding with buffers the prefix carved out.
-/// * `ioctl_cycles` — the persistent driver-overhead setting
-///   ([`EspRuntime::set_ioctl_cycles`]).
-/// * `counters` — the cross-run counter accumulation
-///   ([`EspRuntime::counters`]); runs executed after a restore add onto
-///   exactly the totals the snapshot recorded, so forked and cold-start
-///   counter dumps match byte for byte.
-///
-/// Excluded:
-///
-/// * the device registry — probed deterministically from the SoC
-///   floorplan, which [`Soc::restore`] verifies is unchanged;
-/// * the tracer — a live host-side handle, like in [`SocSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RuntimeSnapshot {
-    /// The full machine state underneath the runtime.
-    pub soc: SocSnapshot,
-    /// The contiguous-buffer allocator (live handles and free list).
-    pub alloc: ContigAlloc,
-    /// The persistent per-invocation driver overhead, in cycles.
-    pub ioctl_cycles: u64,
-    /// Counters accumulated across every run so far.
-    pub counters: CounterRegistry,
-}
-
 /// Per-instance placement computed from the dataflow and the registry.
 #[derive(Debug, Clone)]
 struct Plan {
@@ -356,7 +325,7 @@ impl EspRuntime {
 
     /// Named counters accumulated across every [`EspRuntime::run`]:
     /// the same deltas that each run's [`RunMetrics`] reports, summed
-    /// behind the generic snapshot/diff API.
+    /// behind the generic capture/diff API.
     pub fn counters(&self) -> &CounterRegistry {
         &self.counters
     }
@@ -386,39 +355,6 @@ impl EspRuntime {
     pub fn device_stats(&self, name: &str) -> Option<esp4ml_soc::AccelStats> {
         let info = self.registry.lookup(name)?;
         self.soc.accel(info.coord).ok().map(|t| *t.stats())
-    }
-
-    /// Captures the complete serializable runtime state — machine
-    /// snapshot, allocator, driver settings and accumulated counters —
-    /// as a [`RuntimeSnapshot`] that [`EspRuntime::restore`] resumes
-    /// byte-identically.
-    pub fn snapshot(&self) -> RuntimeSnapshot {
-        RuntimeSnapshot {
-            soc: self.soc.snapshot(),
-            alloc: self.alloc.clone(),
-            ioctl_cycles: self.ioctl_cycles,
-            counters: self.counters.clone(),
-        }
-    }
-
-    /// Restores a state captured by [`EspRuntime::snapshot`], replacing
-    /// the SoC state, allocator, driver settings and counters wholesale.
-    /// The runtime must sit on the same floorplan the snapshot was taken
-    /// on; the device registry is not touched (it is derived from that
-    /// floorplan). The tracer is left as-is.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Soc`] with
-    /// [`SocError::SnapshotMismatch`](esp4ml_soc::SocError::SnapshotMismatch)
-    /// when the snapshot's floorplan does not match; the runtime is
-    /// unmodified in that case.
-    pub fn restore(&mut self, snapshot: &RuntimeSnapshot) -> Result<(), RuntimeError> {
-        self.soc.restore(&snapshot.soc)?;
-        self.alloc = snapshot.alloc.clone();
-        self.ioctl_cycles = snapshot.ioctl_cycles;
-        self.counters = snapshot.counters.clone();
-        Ok(())
     }
 
     /// Allocates a raw contiguous buffer (`esp_alloc`).
@@ -1127,67 +1063,6 @@ mod tests {
         }
         assert_eq!(mb.frames, 4);
         assert!(mb.invocations == 8 && mp.invocations == 8 && m2.invocations == 2);
-        Ok(())
-    }
-
-    /// The fork contract behind shared-prefix memoization: executing the
-    /// load/config prefix once, snapshotting, and forking the snapshot
-    /// across modes must be indistinguishable — metrics, outputs and the
-    /// full final machine state — from a cold start per mode.
-    #[test]
-    fn forked_prefix_runs_match_cold_start() -> Result<(), RuntimeError> {
-        let frames = 4;
-        let fill = |rt: &mut EspRuntime, buf: &AppBuffers| -> Result<(), RuntimeError> {
-            for f in 0..frames {
-                let vals: Vec<u64> = (0..16).map(|i| i + 100 * f).collect();
-                rt.write_frame(buf, f, &vals)?;
-            }
-            Ok(())
-        };
-        let modes = [ExecMode::Base, ExecMode::Pipe, ExecMode::P2p];
-
-        // Cold start: a fresh runtime executes the prefix for every mode.
-        let mut cold = Vec::new();
-        for mode in modes {
-            let mut rt = two_stage_runtime()?;
-            let df = Dataflow::linear(&[&["x2"], &["x3"]]);
-            let buf = rt.prepare(&df, frames)?;
-            fill(&mut rt, &buf)?;
-            let m = rt.run(&RunSpec::new(&df).mode(mode), &buf)?;
-            let out = rt.read_frame(&buf, frames - 1)?;
-            cold.push((m, out, rt.snapshot()));
-        }
-
-        // Forked: the prefix runs once and the snapshot is reused.
-        let mut rt = two_stage_runtime()?;
-        let df = Dataflow::linear(&[&["x2"], &["x3"]]);
-        let buf = rt.prepare(&df, frames)?;
-        fill(&mut rt, &buf)?;
-        let warm = rt.snapshot();
-        for (mode, (m_cold, out_cold, snap_cold)) in modes.into_iter().zip(&cold) {
-            rt.restore(&warm)?;
-            let m = rt.run(&RunSpec::new(&df).mode(mode), &buf)?;
-            assert_eq!(&m, m_cold, "{mode:?} metrics diverge");
-            assert_eq!(&rt.read_frame(&buf, frames - 1)?, out_cold);
-            assert_eq!(&rt.snapshot(), snap_cold, "{mode:?} final state diverges");
-        }
-        Ok(())
-    }
-
-    #[test]
-    fn restore_rejects_foreign_floorplan() -> Result<(), RuntimeError> {
-        let rt = two_stage_runtime()?;
-        let snap = rt.snapshot();
-        let soc = SocBuilder::new(2, 2)
-            .processor(Coord::new(0, 0))
-            .memory(Coord::new(1, 0))
-            .build()
-            .map_err(RuntimeError::Soc)?;
-        let mut other = EspRuntime::new(soc)?;
-        assert!(matches!(
-            other.restore(&snap),
-            Err(RuntimeError::Soc(esp4ml_soc::SocError::SnapshotMismatch(_)))
-        ));
         Ok(())
     }
 

@@ -123,6 +123,24 @@ impl HttpResponse {
     }
 }
 
+/// Reads one `\n`-terminated head line, spending its bytes from
+/// `budget` (what is left of [`MAX_HEAD_BYTES`]). The read itself is
+/// capped at the budget, so a peer that never sends a newline costs at
+/// most the head allowance, not unbounded memory.
+fn read_head_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<String, String> {
+    let mut line = Vec::new();
+    reader
+        .by_ref()
+        .take(*budget as u64)
+        .read_until(b'\n', &mut line)
+        .map_err(|e| format!("read request head: {e}"))?;
+    if line.len() == *budget && !line.ends_with(b"\n") {
+        return Err("request head too large".to_string());
+    }
+    *budget -= line.len();
+    String::from_utf8(line).map_err(|_| "request head is not UTF-8".to_string())
+}
+
 /// Reads and parses one request from `stream`.
 ///
 /// # Errors
@@ -130,12 +148,8 @@ impl HttpResponse {
 /// A printable message on malformed or oversized requests.
 pub fn read_request(stream: &mut dyn Read) -> Result<HttpRequest, String> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut head_bytes = 0usize;
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read request line: {e}"))?;
-    head_bytes += line.len();
+    let mut budget = MAX_HEAD_BYTES;
+    let line = read_head_line(&mut reader, &mut budget)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -150,14 +164,7 @@ pub fn read_request(stream: &mut dyn Read) -> Result<HttpRequest, String> {
     };
     let mut headers = Vec::new();
     loop {
-        let mut hline = String::new();
-        reader
-            .read_line(&mut hline)
-            .map_err(|e| format!("read header: {e}"))?;
-        head_bytes += hline.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err("request head too large".to_string());
-        }
+        let hline = read_head_line(&mut reader, &mut budget)?;
         let trimmed = hline.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             break;
@@ -272,6 +279,50 @@ mod tests {
         );
         let err = read_request(&mut raw.as_bytes()).expect_err("too large");
         assert!(err.contains("too large"));
+    }
+
+    /// Counts the bytes a parser pulls from the underlying stream.
+    struct Counting<R> {
+        inner: R,
+        consumed: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.consumed += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn newline_less_stream_is_rejected_within_the_head_budget() {
+        let mut stream = Counting {
+            inner: std::io::repeat(b'a').take(1 << 20),
+            consumed: 0,
+        };
+        let err = read_request(&mut stream).expect_err("no newline in 1 MiB");
+        assert!(err.contains("too large"), "{err}");
+        // The head allowance plus at most one read-ahead buffer, not the
+        // whole MiB.
+        assert!(
+            stream.consumed <= MAX_HEAD_BYTES + 8 * 1024,
+            "{}",
+            stream.consumed
+        );
+    }
+
+    #[test]
+    fn oversized_request_line_is_rejected() {
+        let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
+        let err = read_request(&mut raw.as_bytes()).expect_err("too large");
+        assert!(err.contains("too large"), "{err}");
+        // The same head split across header lines trips the same budget.
+        let raw = format!(
+            "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(MAX_HEAD_BYTES)
+        );
+        assert!(read_request(&mut raw.as_bytes()).is_err());
     }
 
     #[test]

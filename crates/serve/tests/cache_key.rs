@@ -75,8 +75,9 @@ proptest! {
         );
     }
 
-    /// The worker count, prefix forking and the `event-driven` alias
-    /// never influence the key; every semantic field does.
+    /// The worker count, the `event-driven` alias and the retired
+    /// `fork_prefix` field never influence the key; every semantic
+    /// field does.
     #[test]
     fn cache_key_tracks_semantics_only(
         frames in 1u64..32,
@@ -87,12 +88,17 @@ proptest! {
 
         let mut jobs_differ = base.clone();
         jobs_differ.jobs = jobs;
-        let mut fork_differ = base.clone();
-        fork_differ.fork_prefix = true;
+        // Bodies written before prefix forking was removed still parse,
+        // and the stale field does not split the cache.
+        let mut retired = serde_json::to_value(&base).expect("serializes");
+        if let Value::Object(map) = &mut retired {
+            map.insert("fork_prefix".to_string(), Value::Bool(true));
+        }
+        let retired: RunRequest = serde_json::from_value(retired).expect("parses");
         let mut alias = base.clone();
         alias.engine = "event-driven".to_string();
         prop_assert_eq!(base.cache_key(), jobs_differ.cache_key());
-        prop_assert_eq!(base.cache_key(), fork_differ.cache_key());
+        prop_assert_eq!(base.cache_key(), retired.cache_key());
         prop_assert_eq!(base.cache_key(), alias.cache_key());
 
         let mut other_frames = base.clone();

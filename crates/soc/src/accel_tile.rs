@@ -21,7 +21,7 @@ use crate::stats::AccelStats;
 use esp4ml_check::{codes, Diagnostic};
 use esp4ml_fault::{CycleWindow, FaultKind, FaultSpec};
 use esp4ml_mem::{PageTable, Tlb};
-use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress, Schedulable};
+use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress};
 use esp4ml_trace::{TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
@@ -276,130 +276,6 @@ struct AccelFaults {
     fired: u64,
 }
 
-/// Serializable image of one armed invocation-hang fault (see
-/// [`FaultKind::AccelHang`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HangFaultState {
-    /// First start command (since installation) the fault swallows.
-    pub from_invocation: u64,
-    /// How many consecutive invocations hang.
-    pub count: u64,
-    /// Cycle window gating the fault.
-    pub window: CycleWindow,
-}
-
-/// Serializable image of one armed wrong-length-result fault (see
-/// [`FaultKind::AccelShortOutput`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShortFaultState {
-    /// First start command (since installation) the fault corrupts.
-    pub from_invocation: u64,
-    /// How many consecutive invocations produce short output.
-    pub count: u64,
-    /// Output words dropped per frame.
-    pub drop_words: u64,
-    /// Cycle window gating the fault.
-    pub window: CycleWindow,
-}
-
-/// Serializable image of an accelerator tile's installed faults,
-/// including the trigger counters. Capturing `invocations`/`fired` is what
-/// lets a restored run fire its remaining faults at exactly the same
-/// architectural events as the original.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AccelFaultsState {
-    /// Armed hang faults.
-    pub hangs: Vec<HangFaultState>,
-    /// Armed short-output faults.
-    pub shorts: Vec<ShortFaultState>,
-    /// Start commands seen since installation.
-    pub invocations: u64,
-    /// Total fault firings so far.
-    pub fired: u64,
-}
-
-/// Complete serializable state of an [`AccelTile`]: socket registers,
-/// page table and TLB, the wrapper FSM with its latched batch context,
-/// PLM contents (receive and output buffers), in-flight transfer
-/// bookkeeping, armed faults with trigger counts, statistics and
-/// sanitizer ledger.
-///
-/// Structural identity — the coordinate, the plugged kernel and the
-/// memory map — is *not* captured; a snapshot only restores onto a tile
-/// built from the same floorplan. The tracer is a live host-side handle
-/// and is likewise excluded.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AccelTileState {
-    /// Socket register file.
-    pub regs: RegisterFile,
-    /// Installed page table, when the driver pinned a buffer.
-    pub page_table: Option<PageTable>,
-    /// Socket TLB entries and counters.
-    pub tlb: esp4ml_mem::TlbState,
-    /// Wrapper FSM state.
-    pub state: AccelState,
-    /// Frames in the running batch.
-    pub n_frames: u64,
-    /// Current batch frame index.
-    pub frame_idx: u64,
-    /// Global frame id base latched at start.
-    pub frame_base: u64,
-    /// Global frame id stride latched at start.
-    pub frame_stride: u64,
-    /// Input values per frame latched at start.
-    pub in_values: u64,
-    /// Output values per frame latched at start.
-    pub out_values: u64,
-    /// Input words per frame.
-    pub in_words: u64,
-    /// Output words per frame.
-    pub out_words: u64,
-    /// Input base virtual address latched at start.
-    pub src_base: u64,
-    /// Output base virtual address latched at start.
-    pub dst_base: u64,
-    /// P2p configuration latched at start.
-    pub p2p: P2pConfig,
-    /// PLM input buffer contents.
-    pub rx_buf: Vec<u64>,
-    /// Received-word counts per ping-pong half.
-    pub rx_counts: [u64; 2],
-    /// Words expected for the current frame's load.
-    pub rx_expect: u64,
-    /// Whether double buffering is active for this batch.
-    pub dbuf: bool,
-    /// Frames whose loads have been issued.
-    pub loads_issued: u64,
-    /// Datapath clock divider latched at start.
-    pub dvfs_divider: u64,
-    /// Divided-clock phase accumulator.
-    pub dvfs_phase: u64,
-    /// Packets waiting to inject into the NoC.
-    pub tx_queue: Vec<Packet>,
-    /// Store words acknowledged so far for the current frame.
-    pub store_acked_words: u64,
-    /// Pending p2p consumer requests: `(requester, words, dest base)`.
-    pub pending_p2p_reqs: Vec<(Coord, u64, u64)>,
-    /// Remaining kernel compute cycles for the current frame.
-    pub compute_countdown: u64,
-    /// PLM output buffer contents.
-    pub output_buffer: Vec<u64>,
-    /// Remaining socket stall cycles (TLB miss / DMA setup).
-    pub stall: u64,
-    /// Words dropped per output frame by a latched short-output fault.
-    pub short_drop: u64,
-    /// Installed faults and their trigger counters.
-    pub faults: Option<AccelFaultsState>,
-    /// Execution statistics.
-    pub stats: AccelStats,
-    /// Whether promoted invariant asserts run in diagnostic mode.
-    pub sanitize: bool,
-    /// Accumulated sanitizer diagnostics, in sorted order.
-    pub sanitizer_violations: Vec<Diagnostic>,
-    /// Mesh cycle latched at the top of the last tick.
-    pub cycle: u64,
-}
-
 /// An accelerator tile: socket (registers, DMA engine, TLB, p2p service)
 /// plus the plugged-in kernel.
 #[derive(Debug)]
@@ -600,135 +476,6 @@ impl AccelTile {
         self.stall = 0;
         self.short_drop = 0;
         self.regs.set_status(STATUS_IDLE);
-    }
-
-    /// Captures the tile's complete serializable state (see
-    /// [`AccelTileState`] for what is and is not included). Named
-    /// `tile_state` because [`AccelTile::state`] already reports the FSM
-    /// state.
-    pub fn tile_state(&self) -> AccelTileState {
-        AccelTileState {
-            regs: self.regs.clone(),
-            page_table: self.page_table.clone(),
-            tlb: self.tlb.state(),
-            state: self.state,
-            n_frames: self.n_frames,
-            frame_idx: self.frame_idx,
-            frame_base: self.frame_base,
-            frame_stride: self.frame_stride,
-            in_values: self.in_values,
-            out_values: self.out_values,
-            in_words: self.in_words,
-            out_words: self.out_words,
-            src_base: self.src_base,
-            dst_base: self.dst_base,
-            p2p: self.p2p.clone(),
-            rx_buf: self.rx_buf.clone(),
-            rx_counts: self.rx_counts,
-            rx_expect: self.rx_expect,
-            dbuf: self.dbuf,
-            loads_issued: self.loads_issued,
-            dvfs_divider: self.dvfs_divider,
-            dvfs_phase: self.dvfs_phase,
-            tx_queue: self.tx_queue.iter().cloned().collect(),
-            store_acked_words: self.store_acked_words,
-            pending_p2p_reqs: self.pending_p2p_reqs.iter().copied().collect(),
-            compute_countdown: self.compute_countdown,
-            output_buffer: self.output_buffer.clone(),
-            stall: self.stall,
-            short_drop: self.short_drop,
-            faults: self.faults.as_deref().map(|f| AccelFaultsState {
-                hangs: f
-                    .hangs
-                    .iter()
-                    .map(|h| HangFaultState {
-                        from_invocation: h.from_invocation,
-                        count: h.count,
-                        window: h.window,
-                    })
-                    .collect(),
-                shorts: f
-                    .shorts
-                    .iter()
-                    .map(|s| ShortFaultState {
-                        from_invocation: s.from_invocation,
-                        count: s.count,
-                        drop_words: s.drop_words,
-                        window: s.window,
-                    })
-                    .collect(),
-                invocations: f.invocations,
-                fired: f.fired,
-            }),
-            stats: self.stats,
-            sanitize: self.sanitize,
-            sanitizer_violations: self.sanitizer_violations.iter().cloned().collect(),
-            cycle: self.cycle,
-        }
-    }
-
-    /// Restores state captured by [`AccelTile::tile_state`]. Installed faults
-    /// are replaced wholesale: restoring a fault-free snapshot uninstalls
-    /// any plan armed since it was taken.
-    pub fn restore_state(&mut self, state: &AccelTileState) {
-        self.regs = state.regs.clone();
-        self.page_table = state.page_table.clone();
-        self.tlb.restore_state(&state.tlb);
-        self.state = state.state;
-        self.n_frames = state.n_frames;
-        self.frame_idx = state.frame_idx;
-        self.frame_base = state.frame_base;
-        self.frame_stride = state.frame_stride;
-        self.in_values = state.in_values;
-        self.out_values = state.out_values;
-        self.in_words = state.in_words;
-        self.out_words = state.out_words;
-        self.src_base = state.src_base;
-        self.dst_base = state.dst_base;
-        self.p2p = state.p2p.clone();
-        self.rx_buf.clone_from(&state.rx_buf);
-        self.rx_counts = state.rx_counts;
-        self.rx_expect = state.rx_expect;
-        self.dbuf = state.dbuf;
-        self.loads_issued = state.loads_issued;
-        self.dvfs_divider = state.dvfs_divider;
-        self.dvfs_phase = state.dvfs_phase;
-        self.tx_queue = state.tx_queue.iter().cloned().collect();
-        self.store_acked_words = state.store_acked_words;
-        self.pending_p2p_reqs = state.pending_p2p_reqs.iter().copied().collect();
-        self.compute_countdown = state.compute_countdown;
-        self.output_buffer.clone_from(&state.output_buffer);
-        self.stall = state.stall;
-        self.short_drop = state.short_drop;
-        self.faults = state.faults.as_ref().map(|f| {
-            Box::new(AccelFaults {
-                hangs: f
-                    .hangs
-                    .iter()
-                    .map(|h| HangFault {
-                        from_invocation: h.from_invocation,
-                        count: h.count,
-                        window: h.window,
-                    })
-                    .collect(),
-                shorts: f
-                    .shorts
-                    .iter()
-                    .map(|s| ShortFault {
-                        from_invocation: s.from_invocation,
-                        count: s.count,
-                        drop_words: s.drop_words,
-                        window: s.window,
-                    })
-                    .collect(),
-                invocations: f.invocations,
-                fired: f.fired,
-            })
-        });
-        self.stats = state.stats;
-        self.sanitize = state.sanitize;
-        self.sanitizer_violations = state.sanitizer_violations.iter().cloned().collect();
-        self.cycle = state.cycle;
     }
 
     /// What this tile is waiting on, for the timeout deadlock diagnosis.
@@ -1472,22 +1219,6 @@ impl AccelTile {
         } else {
             self.set_state(AccelState::LoadIssue);
         }
-    }
-}
-
-impl Schedulable for AccelTile {
-    type Fabric = Mesh;
-
-    fn tick(&mut self, mesh: &mut Mesh) -> Progress {
-        AccelTile::tick(self, mesh)
-    }
-
-    fn progress(&self, now: u64) -> Progress {
-        AccelTile::progress(self, now)
-    }
-
-    fn advance(&mut self, delta: u64) {
-        AccelTile::advance(self, delta);
     }
 }
 

@@ -35,9 +35,6 @@ pub enum SocError {
         /// The offending word address.
         addr: u64,
     },
-    /// A snapshot does not structurally match this SoC and cannot be
-    /// restored onto it.
-    SnapshotMismatch(String),
 }
 
 impl fmt::Display for SocError {
@@ -51,7 +48,6 @@ impl fmt::Display for SocError {
             }
             SocError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
             SocError::BadAddress { addr } => write!(f, "DRAM address {addr:#x} out of range"),
-            SocError::SnapshotMismatch(msg) => write!(f, "snapshot mismatch: {msg}"),
         }
     }
 }

@@ -3,6 +3,7 @@
 use esp4ml_hls::Resources;
 use esp4ml_hls4ml::CompiledNn;
 use std::fmt;
+use std::sync::Arc;
 
 /// The result of one kernel invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,6 +59,12 @@ pub trait AcceleratorKernel: Send {
 
     /// Post-synthesis resource usage of the kernel (without the socket).
     fn resources(&self) -> Resources;
+
+    /// The compiled HLS4ML network this kernel runs, if it is one. Tiles
+    /// instantiated from one compilation return the same `Arc`.
+    fn compiled_network(&self) -> Option<&Arc<CompiledNn>> {
+        None
+    }
 }
 
 impl fmt::Debug for dyn AcceleratorKernel {
@@ -195,23 +202,36 @@ impl AcceleratorKernel for ScaleKernel {
 ///
 /// Values on the NoC are the raw fixed-point words of the network's
 /// [`esp4ml_hls::FixedSpec`], reinterpreted as unsigned `data_bits`-bit
-/// fields (two's complement).
+/// fields (two's complement). The network is shared: every instance of
+/// one compiled accelerator holds the same weights, under its own name.
 #[derive(Debug, Clone)]
 pub struct NnKernel {
-    nn: CompiledNn,
+    nn: Arc<CompiledNn>,
+    name: String,
     kind: Option<String>,
 }
 
 impl NnKernel {
-    /// Wraps a compiled network.
+    /// Wraps a compiled network, named after it.
     pub fn new(nn: CompiledNn) -> Self {
-        NnKernel { nn, kind: None }
+        let name = nn.name().to_string();
+        Self::instance(Arc::new(nn), &name)
     }
 
-    /// Declares the interchangeability class (builder style): copies of
-    /// the same compiled network deployed under different instance names
-    /// (e.g. `cl0`..`cl3`) share a kind so the runtime can fail over
-    /// between them.
+    /// One instance of a shared compiled network under the device name
+    /// `name` (e.g. `cl0`..`cl3` of one classifier IP).
+    pub fn instance(nn: Arc<CompiledNn>, name: &str) -> Self {
+        NnKernel {
+            nn,
+            name: name.to_string(),
+            kind: None,
+        }
+    }
+
+    /// Declares the interchangeability class (builder style): instances
+    /// of the same compiled network deployed under different names (e.g.
+    /// `cl0`..`cl3`) share a kind so the runtime can fail over between
+    /// them.
     pub fn with_kind(mut self, kind: &str) -> Self {
         self.kind = Some(kind.to_string());
         self
@@ -236,11 +256,11 @@ impl NnKernel {
 
 impl AcceleratorKernel for NnKernel {
     fn name(&self) -> &str {
-        self.nn.name()
+        &self.name
     }
 
     fn kind(&self) -> &str {
-        self.kind.as_deref().unwrap_or_else(|| self.nn.name())
+        self.kind.as_deref().unwrap_or(&self.name)
     }
 
     fn input_values(&self) -> u64 {
@@ -270,6 +290,10 @@ impl AcceleratorKernel for NnKernel {
 
     fn resources(&self) -> Resources {
         self.nn.resources()
+    }
+
+    fn compiled_network(&self) -> Option<&Arc<CompiledNn>> {
+        Some(&self.nn)
     }
 }
 

@@ -67,24 +67,21 @@ mod sanitize;
 mod soc;
 mod stats;
 
-pub use accel_tile::{
-    AccelConfig, AccelFaultsState, AccelState, AccelTile, AccelTileState, CommMode,
-    HangFaultState, ShortFaultState,
-};
+pub use accel_tile::{AccelConfig, AccelState, AccelTile, CommMode};
 pub use error::SocError;
 pub use kernel::{AcceleratorKernel, KernelOutput, NnKernel, ScaleKernel};
 pub use mem_map::MemMap;
-pub use mem_tile::{DropFaultState, MemFaultsState, MemTile, MemTileState, PendingState};
-pub use proc_tile::{ProcTile, ProcTileState};
+pub use mem_tile::MemTile;
+pub use proc_tile::ProcTile;
 pub use regs::P2pConfig;
-pub use sanitize::{BlockedTile, DeadlockDiagnosis, SocSanitizerState};
-pub use soc::{RunOutcome, Soc, SocBuilder, SocEngine, SocSnapshot, TileKind};
+pub use sanitize::{BlockedTile, DeadlockDiagnosis};
+pub use soc::{RunOutcome, Soc, SocBuilder, SocEngine, TileKind};
 pub use stats::{AccelStats, SocStats};
 
 // Diagnostic vocabulary of the sanitizer, re-exported so `Soc` users can
 // arm it and consume its verdicts without naming the check crate.
 pub use esp4ml_check::{Diagnostic, Report, SanitizerConfig, Severity};
 
-// The event-driven scheduling contract all tiles implement (defined next
-// to the mesh, re-exported here for tile users).
-pub use esp4ml_noc::{Progress, Schedulable};
+// The progress report every tile's `progress`/`tick` returns (defined
+// next to the mesh, re-exported here for tile users).
+pub use esp4ml_noc::Progress;

@@ -4,9 +4,8 @@ use crate::sanitize::tile_location;
 use esp4ml_check::{codes, Diagnostic};
 use esp4ml_fault::{CycleWindow, FaultKind, FaultSpec};
 use esp4ml_mem::{CacheConfig, CacheStats, CachedDram, DramConfig, DramStats};
-use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress, Schedulable};
+use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress};
 use esp4ml_trace::{DmaKind, TileCoord, TraceEvent, Tracer};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Maximum payload words per DMA data packet on the NoC. Long bursts are
@@ -41,66 +40,6 @@ struct MemFaults {
     load_bursts: u64,
     /// Total fault firings so far.
     fired: u64,
-}
-
-/// Serializable image of one armed DMA word-drop fault (see
-/// [`FaultKind::DmaDropWords`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DropFaultState {
-    /// First serviced load burst (since installation) the fault truncates.
-    pub from_burst: u64,
-    /// How many consecutive bursts are truncated.
-    pub count: u64,
-    /// Words dropped from the tail of each affected burst.
-    pub drop_words: u64,
-    /// Cycle window gating the fault.
-    pub window: CycleWindow,
-}
-
-/// Serializable image of a memory tile's installed faults, including the
-/// burst trigger counter so a restored run truncates exactly the same
-/// bursts as the original.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemFaultsState {
-    /// Armed word-drop faults.
-    pub drops: Vec<DropFaultState>,
-    /// Load bursts serviced since installation.
-    pub load_bursts: u64,
-    /// Total fault firings so far.
-    pub fired: u64,
-}
-
-/// Serializable image of the in-flight memory operation: the remaining
-/// busy cycles and the responses held until they elapse.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PendingState {
-    /// Remaining busy cycles before the responses are released.
-    pub busy: u64,
-    /// Responses released when the latency elapses.
-    pub responses: Vec<Packet>,
-}
-
-/// Complete serializable state of a [`MemTile`]: DRAM contents and
-/// counters (plus the LLC partition when present), the request queue, the
-/// in-flight operation, undrained responses, armed faults with trigger
-/// counts, and the sanitizer ledger. The coordinate is structural and the
-/// tracer is a live host-side handle; neither is captured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MemTileState {
-    /// DRAM (and optional LLC) image.
-    pub dram: esp4ml_mem::CachedDramState,
-    /// Queued DMA requests, in arrival order.
-    pub queue: Vec<Packet>,
-    /// The request being serviced, when one is in flight.
-    pub current: Option<PendingState>,
-    /// Responses waiting to inject into the NoC.
-    pub outgoing: Vec<Packet>,
-    /// Whether promoted invariant asserts run in diagnostic mode.
-    pub sanitize: bool,
-    /// Accumulated sanitizer diagnostics, in sorted order.
-    pub sanitizer_violations: Vec<Diagnostic>,
-    /// Installed faults and their trigger counters.
-    pub faults: Option<MemFaultsState>,
 }
 
 /// The memory tile of an ESP SoC.
@@ -217,72 +156,6 @@ impl MemTile {
                 fault: "dma_drop_words",
                 detail,
             });
-    }
-
-    /// Captures the tile's complete serializable state (see
-    /// [`MemTileState`] for what is and is not included).
-    pub fn state(&self) -> MemTileState {
-        MemTileState {
-            dram: self.dram.state(),
-            queue: self.queue.iter().cloned().collect(),
-            current: self.current.as_ref().map(|p| PendingState {
-                busy: p.busy,
-                responses: p.responses.clone(),
-            }),
-            outgoing: self.outgoing.iter().cloned().collect(),
-            sanitize: self.sanitize,
-            sanitizer_violations: self.sanitizer_violations.iter().cloned().collect(),
-            faults: self.faults.as_deref().map(|f| MemFaultsState {
-                drops: f
-                    .drops
-                    .iter()
-                    .map(|d| DropFaultState {
-                        from_burst: d.from_burst,
-                        count: d.count,
-                        drop_words: d.drop_words,
-                        window: d.window,
-                    })
-                    .collect(),
-                load_bursts: f.load_bursts,
-                fired: f.fired,
-            }),
-        }
-    }
-
-    /// Restores state captured by [`MemTile::state`]. Installed faults are
-    /// replaced wholesale: restoring a fault-free snapshot uninstalls any
-    /// plan armed since it was taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the snapshot's DRAM/LLC geometry does not match this
-    /// tile's (it was captured from a different floorplan).
-    pub fn restore_state(&mut self, state: &MemTileState) {
-        self.dram.restore_state(&state.dram);
-        self.queue = state.queue.iter().cloned().collect();
-        self.current = state.current.as_ref().map(|p| Pending {
-            busy: p.busy,
-            responses: p.responses.clone(),
-        });
-        self.outgoing = state.outgoing.iter().cloned().collect();
-        self.sanitize = state.sanitize;
-        self.sanitizer_violations = state.sanitizer_violations.iter().cloned().collect();
-        self.faults = state.faults.as_ref().map(|f| {
-            Box::new(MemFaults {
-                drops: f
-                    .drops
-                    .iter()
-                    .map(|d| DropFault {
-                        from_burst: d.from_burst,
-                        count: d.count,
-                        drop_words: d.drop_words,
-                        window: d.window,
-                    })
-                    .collect(),
-                load_bursts: f.load_bursts,
-                fired: f.fired,
-            })
-        });
     }
 
     /// Installs the trace sink handle shared with the rest of the SoC.
@@ -478,22 +351,6 @@ impl MemTile {
                 (1, Vec::new())
             }
         }
-    }
-}
-
-impl Schedulable for MemTile {
-    type Fabric = Mesh;
-
-    fn tick(&mut self, mesh: &mut Mesh) -> Progress {
-        MemTile::tick(self, mesh)
-    }
-
-    fn progress(&self, now: u64) -> Progress {
-        MemTile::progress(self, now)
-    }
-
-    fn advance(&mut self, delta: u64) {
-        MemTile::advance(self, delta);
     }
 }
 

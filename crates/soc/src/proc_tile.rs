@@ -1,20 +1,7 @@
 //! The processor tile: the hardware seat of the software runtime.
 
-use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress, Schedulable};
-use serde::{Deserialize, Serialize};
+use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress};
 use std::collections::VecDeque;
-
-/// Complete serializable state of a [`ProcTile`]: undrained register
-/// writes and pending (delivered but untaken) interrupts. The coordinate
-/// is structural and not captured.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProcTileState {
-    /// Register writes waiting to inject into the NoC.
-    pub outgoing: Vec<Packet>,
-    /// Interrupts delivered but not yet taken by the runtime, in arrival
-    /// order.
-    pub irqs: Vec<Coord>,
-}
 
 /// The processor tile (an Ariane RISC-V core in the paper's SoCs).
 ///
@@ -42,20 +29,6 @@ impl ProcTile {
     /// The tile coordinate.
     pub fn coord(&self) -> Coord {
         self.coord
-    }
-
-    /// Captures the tile's complete serializable state.
-    pub fn state(&self) -> ProcTileState {
-        ProcTileState {
-            outgoing: self.outgoing.iter().cloned().collect(),
-            irqs: self.irqs.iter().copied().collect(),
-        }
-    }
-
-    /// Restores state captured by [`ProcTile::state`].
-    pub fn restore_state(&mut self, state: &ProcTileState) {
-        self.outgoing = state.outgoing.iter().cloned().collect();
-        self.irqs = state.irqs.iter().copied().collect();
     }
 
     /// Queues a register write to `tile` (one `ioctl`-path store).
@@ -115,22 +88,6 @@ impl ProcTile {
         } else {
             Progress::Active
         }
-    }
-}
-
-impl Schedulable for ProcTile {
-    type Fabric = Mesh;
-
-    fn tick(&mut self, mesh: &mut Mesh) -> Progress {
-        ProcTile::tick(self, mesh)
-    }
-
-    fn progress(&self, now: u64) -> Progress {
-        ProcTile::progress(self, now)
-    }
-
-    fn advance(&mut self, _delta: u64) {
-        // No per-cycle internal state: boring cycles are free.
     }
 }
 

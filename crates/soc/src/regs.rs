@@ -171,7 +171,7 @@ impl P2pConfig {
 }
 
 /// The socket register file of one accelerator tile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegisterFile {
     regs: [u64; REG_COUNT],
 }

@@ -13,19 +13,9 @@
 
 use esp4ml_check::{codes, Diagnostic, Report, SanitizerConfig};
 use esp4ml_noc::Coord;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-/// Serializable image of the SoC-level sanitizer: its configuration and
-/// the accumulated end-to-end accounting violations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SocSanitizerState {
-    /// The armed sanitizer configuration.
-    pub config: SanitizerConfig,
-    /// Accumulated violations, in sorted order.
-    pub violations: Vec<Diagnostic>,
-}
 
 /// One tile that cannot make progress, and why.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -156,20 +146,6 @@ impl SocSanitizer {
         SocSanitizer {
             config,
             violations: BTreeSet::new(),
-        }
-    }
-
-    pub(crate) fn state(&self) -> SocSanitizerState {
-        SocSanitizerState {
-            config: self.config,
-            violations: self.violations.iter().cloned().collect(),
-        }
-    }
-
-    pub(crate) fn from_state(state: &SocSanitizerState) -> Self {
-        SocSanitizer {
-            config: state.config,
-            violations: state.violations.iter().cloned().collect(),
         }
     }
 

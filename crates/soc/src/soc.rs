@@ -1,21 +1,20 @@
 //! SoC construction (the `.esp_config` analog) and the cycle simulator.
 
-use crate::accel_tile::{AccelConfig, AccelTile, AccelTileState};
+use crate::accel_tile::{AccelConfig, AccelTile};
 use crate::kernel::{pack_values, unpack_values, AcceleratorKernel};
 use crate::mem_map::MemMap;
-use crate::mem_tile::{MemTile, MemTileState};
-use crate::proc_tile::{ProcTile, ProcTileState};
+use crate::mem_tile::MemTile;
+use crate::proc_tile::ProcTile;
 use crate::regs::{self, CMD_START};
-use crate::sanitize::{wait_cycle, SocSanitizer, SocSanitizerState};
+use crate::sanitize::{wait_cycle, SocSanitizer};
 use crate::stats::SocStats;
 use crate::{BlockedTile, DeadlockDiagnosis, SocError};
 use esp4ml_check::{codes, Diagnostic, Report, SanitizerConfig};
 use esp4ml_fault::{FaultKind, FaultPlan};
 use esp4ml_hls::Resources;
 use esp4ml_mem::{CacheConfig, CacheStats, DramConfig, PageTable};
-use esp4ml_noc::{Coord, Mesh, MeshConfig, MeshState, NocHeatmap, NocStats};
+use esp4ml_noc::{Coord, Mesh, MeshConfig, NocHeatmap, NocStats};
 use esp4ml_trace::{CounterRegistry, CounterSeries, Tracer};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Which simulation engine drives [`Soc::step`] and the run loops.
@@ -272,47 +271,6 @@ impl SocBuilder {
             sanitizer: None,
         })
     }
-}
-
-/// The complete serializable machine state of a [`Soc`], captured by
-/// [`Soc::snapshot`] and reinstated by [`Soc::restore`].
-///
-/// A snapshot covers everything that influences future simulation:
-/// mesh planes, routers and in-flight flits; socket FSMs, registers and
-/// PLM contents; memory-tile DRAM images and in-flight DMA state;
-/// pending interrupts; every statistics counter and sampling series; the
-/// sanitizer ledgers; and installed fault plans *with their trigger
-/// counts*, so a restored run fires its remaining faults at the same
-/// architectural events as the original.
-///
-/// Deliberately excluded:
-///
-/// * **Structure** — grid dimensions, tile placement, kernels, DRAM/LLC
-///   geometry, the memory map and routing tables. A snapshot restores
-///   only onto a SoC built from the same floorplan; [`Soc::restore`]
-///   validates the structural fit.
-/// * **The engine** — [`SocEngine::Naive`] and
-///   [`SocEngine::EventDriven`] are cycle-exact by contract and keep no
-///   hidden state, so a snapshot taken under one engine resumes
-///   byte-identically under the other.
-/// * **The tracer** — a live host-side sink handle, not machine state.
-///   The restored SoC keeps emitting into whatever tracer it already
-///   has.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SocSnapshot {
-    /// NoC state: routers, in-flight flits, endpoint queues, stats,
-    /// sanitizer shadow state and armed NoC faults.
-    pub mesh: MeshState,
-    /// Processor tiles, in placement order.
-    pub proc_tiles: Vec<ProcTileState>,
-    /// Memory tiles, in placement order.
-    pub mem_tiles: Vec<MemTileState>,
-    /// Accelerator tiles, in placement order.
-    pub accel_tiles: Vec<AccelTileState>,
-    /// The counter sampling series, when sampling is on.
-    pub series: Option<CounterSeries>,
-    /// The SoC-level sanitizer, when armed.
-    pub sanitizer: Option<SocSanitizerState>,
 }
 
 /// A complete, running ESP SoC instance.
@@ -632,89 +590,6 @@ impl Soc {
         self.engine = engine;
     }
 
-    /// Captures the complete serializable machine state (see
-    /// [`SocSnapshot`] for exactly what is and is not included).
-    ///
-    /// `restore(snapshot(s))` resumes byte-identically under both
-    /// engines: metrics, counters, sampling rows, trace events, fault
-    /// firings and sanitizer verdicts all continue exactly as if the
-    /// original simulation had never been interrupted. This is the
-    /// foundation of shared-prefix forking: simulate a common load/config
-    /// prefix once, snapshot, and fork the snapshot across divergent
-    /// continuations (modes, fault plans, seeds).
-    pub fn snapshot(&self) -> SocSnapshot {
-        SocSnapshot {
-            mesh: self.mesh.state(),
-            proc_tiles: self.proc_tiles.iter().map(ProcTile::state).collect(),
-            mem_tiles: self.mem_tiles.iter().map(MemTile::state).collect(),
-            accel_tiles: self.accel_tiles.iter().map(AccelTile::tile_state).collect(),
-            series: self.series.clone(),
-            sanitizer: self.sanitizer.as_ref().map(SocSanitizer::state),
-        }
-    }
-
-    /// Reinstates state captured by [`Soc::snapshot`], fully replacing
-    /// the current machine state — including sanitizer ledgers and
-    /// installed fault plans, so restoring a fault-free snapshot
-    /// *uninstalls* any plan armed since it was taken (this is what lets
-    /// one warmed checkpoint fork into both healthy and faulty runs).
-    ///
-    /// The simulation engine and tracer are untouched: both are host-side
-    /// concerns, not machine state.
-    ///
-    /// # Errors
-    ///
-    /// [`SocError::SnapshotMismatch`] when the snapshot's tile counts do
-    /// not match this SoC's floorplan. Deeper structural mismatches
-    /// (different grid, DRAM capacity or TLB geometry) panic, as they
-    /// indicate the snapshot came from a different [`SocBuilder`] program
-    /// entirely.
-    pub fn restore(&mut self, snapshot: &SocSnapshot) -> Result<(), SocError> {
-        let grid = self.mesh.config().cols * self.mesh.config().rows;
-        let mismatch = |what: &str, got: usize, want: usize| {
-            Err(SocError::SnapshotMismatch(format!(
-                "snapshot has {got} {what}, this SoC has {want}"
-            )))
-        };
-        if snapshot.mesh.routers.len() != grid {
-            return mismatch("routers", snapshot.mesh.routers.len(), grid);
-        }
-        if snapshot.proc_tiles.len() != self.proc_tiles.len() {
-            return mismatch(
-                "processor tiles",
-                snapshot.proc_tiles.len(),
-                self.proc_tiles.len(),
-            );
-        }
-        if snapshot.mem_tiles.len() != self.mem_tiles.len() {
-            return mismatch(
-                "memory tiles",
-                snapshot.mem_tiles.len(),
-                self.mem_tiles.len(),
-            );
-        }
-        if snapshot.accel_tiles.len() != self.accel_tiles.len() {
-            return mismatch(
-                "accelerator tiles",
-                snapshot.accel_tiles.len(),
-                self.accel_tiles.len(),
-            );
-        }
-        self.mesh.restore_state(&snapshot.mesh);
-        for (tile, state) in self.proc_tiles.iter_mut().zip(&snapshot.proc_tiles) {
-            tile.restore_state(state);
-        }
-        for (tile, state) in self.mem_tiles.iter_mut().zip(&snapshot.mem_tiles) {
-            tile.restore_state(state);
-        }
-        for (tile, state) in self.accel_tiles.iter_mut().zip(&snapshot.accel_tiles) {
-            tile.restore_state(state);
-        }
-        self.series = snapshot.series.clone();
-        self.sanitizer = snapshot.sanitizer.as_ref().map(SocSanitizer::from_state);
-        Ok(())
-    }
-
     /// Advances the SoC by exactly one cycle, ticking every component
     /// (the naive per-cycle contract, regardless of engine).
     pub fn tick(&mut self) {
@@ -730,7 +605,7 @@ impl Soc {
         self.mesh.tick();
         let cycle = self.mesh.cycle();
         if self.series.as_ref().is_some_and(|s| s.due(cycle)) {
-            let snap = self.counter_registry().snapshot();
+            let snap = self.counter_registry().capture();
             self.series
                 .as_mut()
                 .expect("sampling on")
@@ -813,7 +688,7 @@ impl Soc {
             while due <= start + delta {
                 let mut reg = self.counter_registry();
                 reg.set("soc.cycles", due);
-                let snap = reg.snapshot();
+                let snap = reg.capture();
                 self.series.as_mut().expect("sampling on").record(due, snap);
                 due += every;
             }
@@ -1080,7 +955,7 @@ impl Soc {
     }
 
     /// The aggregate statistics as a named-counter registry — the same
-    /// numbers as [`Soc::stats`] behind the generic snapshot/diff API.
+    /// numbers as [`Soc::stats`] behind the generic capture/diff API.
     pub fn counter_registry(&self) -> CounterRegistry {
         let stats = self.stats();
         let mut reg = CounterRegistry::new();
@@ -1869,8 +1744,8 @@ mod engine_equivalence_tests {
         assert_eq!(naive.take_irqs(), event.take_irqs());
         // The full counter registries must agree, not just headline stats.
         assert_eq!(
-            naive.counter_registry().snapshot(),
-            event.counter_registry().snapshot()
+            naive.counter_registry().capture(),
+            event.counter_registry().capture()
         );
         // Link-level heatmap counters only move during real mesh ticks,
         // so fast-forward must leave them cycle-exact too.

@@ -1,6 +1,5 @@
-//! Named counters with a snapshot/diff API.
+//! Named counters with a capture/diff API.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A registry of named `u64` metrics.
@@ -10,8 +9,8 @@ use std::collections::BTreeMap;
 /// [`set`](CounterRegistry::set). Both live in one namespace —
 /// dotted names by convention (`soc.dram_reads`, `noc.flit_hops`,
 /// `runtime.invocations`) — and are captured together by
-/// [`snapshot`](CounterRegistry::snapshot).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// [`capture`](CounterRegistry::capture).
+#[derive(Clone, Debug, Default)]
 pub struct CounterRegistry {
     values: BTreeMap<String, u64>,
 }
@@ -62,7 +61,7 @@ impl CounterRegistry {
     }
 
     /// Captures all current values.
-    pub fn snapshot(&self) -> CounterSnapshot {
+    pub fn capture(&self) -> CounterSnapshot {
         CounterSnapshot {
             values: self.values.clone(),
         }
@@ -101,7 +100,7 @@ pub fn prometheus_name(name: &str) -> String {
 }
 
 /// An immutable point-in-time capture of a [`CounterRegistry`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     values: BTreeMap<String, u64>,
 }
@@ -176,22 +175,22 @@ mod tests {
     fn snapshot_diff_measures_growth() {
         let mut reg = CounterRegistry::new();
         reg.add("x", 10);
-        let before = reg.snapshot();
+        let before = reg.capture();
         reg.add("x", 5);
         reg.add("y", 2);
-        let after = reg.snapshot();
+        let after = reg.capture();
         let d = after.diff(&before);
         assert_eq!(d.get("x"), 5);
         assert_eq!(d.get("y"), 2);
         // Union semantics: names only in the earlier snapshot appear as 0.
-        let empty = CounterRegistry::new().snapshot();
+        let empty = CounterRegistry::new().capture();
         let d2 = empty.diff(&before);
         assert_eq!(d2.get("x"), 0);
         assert!(d2.names().any(|n| n == "x"));
     }
 
     #[test]
-    fn prometheus_exposition_snapshot() {
+    fn prometheus_exposition_text() {
         let mut reg = CounterRegistry::new();
         reg.add("soc.dram_reads", 12);
         reg.add("noc.flit_hops", 42);
@@ -219,7 +218,7 @@ mod tests {
         let mut reg = CounterRegistry::new();
         reg.add("soc.dram_reads", u64::MAX);
         reg.add("noc.flit_hops", 42);
-        let json = reg.snapshot().to_json();
+        let json = reg.capture().to_json();
         let text = serde_json::to_string(&json).unwrap();
         let back: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(back["soc.dram_reads"].as_u64(), Some(u64::MAX));

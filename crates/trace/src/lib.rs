@@ -17,7 +17,7 @@
 //! - [`TraceSink`] / [`RingBufferSink`]: bounded event storage that
 //!   drops the oldest events under pressure rather than growing.
 //! - [`CounterRegistry`] / [`CounterSnapshot`]: named monotonic
-//!   counters and gauges behind one snapshot/diff API, subsuming the
+//!   counters and gauges behind one capture/diff API, subsuming the
 //!   ad-hoc stats structs.
 //! - [`perfetto`]: Chrome `trace_event` JSON export (open the file at
 //!   ui.perfetto.dev) with one track per tile and one per NoC plane.

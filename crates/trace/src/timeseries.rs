@@ -1,11 +1,10 @@
 //! Counter time-series sampling (flat CSV / JSON export).
 
 use crate::counters::CounterSnapshot;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One sampled row: a counter snapshot at a cycle.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SampleRow {
     /// Simulated cycle of the sample.
     pub cycle: u64,
@@ -18,7 +17,7 @@ pub struct SampleRow {
 /// The driver (e.g. `Soc::tick`) checks [`due`](CounterSeries::due)
 /// and calls [`record`](CounterSeries::record); this struct only
 /// stores and exports.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CounterSeries {
     every: u64,
     rows: Vec<SampleRow>,
@@ -123,9 +122,9 @@ mod tests {
 
         let mut reg = CounterRegistry::new();
         reg.add("a", 1);
-        series.record(0, reg.snapshot());
+        series.record(0, reg.capture());
         reg.add("b", 2);
-        series.record(100, reg.snapshot());
+        series.record(100, reg.capture());
 
         let csv = series.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
@@ -139,7 +138,7 @@ mod tests {
         let mut series = CounterSeries::new(10);
         let mut reg = CounterRegistry::new();
         reg.add("hits", 3);
-        series.record(10, reg.snapshot());
+        series.record(10, reg.capture());
         let text = serde_json::to_string(&series.to_json()).unwrap();
         let back: serde_json::Value = serde_json::from_str(&text).unwrap();
         let rows = back.as_array().unwrap();

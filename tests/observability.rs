@@ -131,7 +131,7 @@ proptest! {
         let mode = ExecMode::ALL[mode_idx];
         let mut rt = two_stage_runtime();
         let m = run_frames(&mut rt, frames, mode);
-        let snap = rt.counters().snapshot();
+        let snap = rt.counters().capture();
         prop_assert_eq!(snap.get("runtime.frames"), m.frames);
         prop_assert_eq!(snap.get("runtime.invocations"), m.invocations);
         prop_assert_eq!(snap.get("soc.cycles"), m.cycles);
@@ -147,7 +147,7 @@ fn counters_accumulate_across_runs() {
     let mut rt = two_stage_runtime();
     let m1 = run_frames(&mut rt, 2, ExecMode::Base);
     let m2 = run_frames(&mut rt, 3, ExecMode::P2p);
-    let snap = rt.counters().snapshot();
+    let snap = rt.counters().capture();
     assert_eq!(snap.get("runtime.frames"), m1.frames + m2.frames);
     assert_eq!(
         snap.get("runtime.invocations"),
