@@ -137,7 +137,20 @@ fn corruptible(pkt: &Packet) -> bool {
 pub struct Mesh {
     config: MeshConfig,
     routers: Vec<Router>,
-    endpoints: Vec<Vec<TileEndpoint>>, // [tile][plane]
+    endpoints: Vec<[TileEndpoint; Plane::COUNT]>, // [tile][plane]
+    /// Flits sitting in injection queues plus router input queues. Moves
+    /// at [`Mesh::inject`], at the release of a fault-delayed packet, and
+    /// when a flit commits into a Local (ejection) port; zero exactly when
+    /// the network is traffic-idle.
+    queued_flits: usize,
+    /// Completed packets sitting in ejection queues: one up per delivery,
+    /// one down per [`Mesh::eject`].
+    undelivered: usize,
+    /// Downstream free-slot snapshot taken each tick:
+    /// `free[tile][plane][port]` is the space in that router's input queue.
+    free: Vec<[[usize; Port::COUNT]; Plane::COUNT]>,
+    /// Transfers selected in the current tick, in arbitration order.
+    transfers: Vec<Transfer>,
     stats: NocStats,
     cycle: u64,
     tracer: Tracer,
@@ -157,8 +170,9 @@ impl Mesh {
         if cols == 0 || rows == 0 || cols > 256 || rows > 256 {
             return Err(NocError::InvalidDimensions { cols, rows });
         }
-        let mut routers = Vec::with_capacity(cols * rows);
-        let mut endpoints = Vec::with_capacity(cols * rows);
+        let n = cols * rows;
+        let mut routers = Vec::with_capacity(n);
+        let mut endpoints = Vec::with_capacity(n);
         for y in 0..rows {
             for x in 0..cols {
                 routers.push(Router::new(
@@ -167,13 +181,18 @@ impl Mesh {
                     rows,
                     config.router,
                 ));
-                endpoints.push((0..Plane::COUNT).map(|_| TileEndpoint::default()).collect());
+                endpoints.push(Default::default());
             }
         }
         Ok(Mesh {
             config,
             routers,
             endpoints,
+            queued_flits: 0,
+            undelivered: 0,
+            free: vec![[[0; Port::COUNT]; Plane::COUNT]; n],
+            // Each router selects at most one transfer per (plane, output).
+            transfers: Vec::with_capacity(n * Plane::COUNT * Port::COUNT),
             stats: NocStats::new(),
             cycle: 0,
             tracer: Tracer::disabled(),
@@ -471,6 +490,7 @@ impl Mesh {
             }
         }
         if let Some(flits) = self.fault_intercept(i, src, plane, flits) {
+            self.queued_flits += flits.len();
             self.endpoints[i][plane.index()].inject.extend(flits);
         }
         self.stats.plane_mut(plane).packets_injected += 1;
@@ -573,6 +593,7 @@ impl Mesh {
                     continue;
                 }
                 let d = f.delayed.remove(idx).expect("index in bounds");
+                self.queued_flits += d.flits.len();
                 self.endpoints[d.tile][d.plane.index()]
                     .inject
                     .extend(d.flits);
@@ -635,7 +656,9 @@ impl Mesh {
     /// Removes and returns the oldest delivered packet at `(coord, plane)`.
     pub fn eject(&mut self, coord: Coord, plane: Plane) -> Option<Packet> {
         let i = self.tile_index(coord);
-        self.endpoints[i][plane.index()].eject.pop_front()
+        let pkt = self.endpoints[i][plane.index()].eject.pop_front()?;
+        self.undelivered -= 1;
+        Some(pkt)
     }
 
     /// Number of delivered packets waiting at `(coord, plane)`.
@@ -647,10 +670,7 @@ impl Mesh {
     /// Total packets delivered to ejection queues but not yet ejected by
     /// their tiles, across all coordinates and planes.
     pub fn undelivered_total(&self) -> usize {
-        self.endpoints
-            .iter()
-            .map(|planes| planes.iter().map(|ep| ep.eject.len()).sum::<usize>())
-            .sum()
+        self.undelivered
     }
 
     /// Whether any traffic (queued flits or partial packets) remains in the
@@ -665,190 +685,196 @@ impl Mesh {
     /// fast-forward precondition (fault-delayed packets carry an absolute
     /// release cycle, so bulk-advancing over them is safe).
     fn traffic_idle(&self) -> bool {
-        for (ti, r) in self.routers.iter().enumerate() {
+        self.queued_flits == 0
+    }
+
+    /// Recounts `(queued_flits, undelivered)` with a full scan of every
+    /// queue: the oracle the O(1) counters are checked against after every
+    /// tick in debug builds and in tests. Also checks each router's
+    /// per-plane flit count against its queues.
+    #[cfg(any(test, debug_assertions))]
+    fn occupancy_by_scan(&self) -> (usize, usize) {
+        let (mut queued, mut undelivered) = (0, 0);
+        for (r, planes) in self.routers.iter().zip(&self.endpoints) {
             for plane in Plane::ALL {
-                if !self.endpoints[ti][plane.index()].inject.is_empty() {
-                    return false;
-                }
-                for port in Port::ALL {
-                    if r.occupancy(plane, port) > 0 {
-                        return false;
-                    }
-                }
+                let in_router = r.plane_flits_by_scan(plane);
+                assert_eq!(
+                    in_router,
+                    r.plane_flits(plane),
+                    "router {} plane {plane}: flit count diverges from its queues",
+                    r.coord()
+                );
+                let ep = &planes[plane.index()];
+                queued += ep.inject.len() + in_router;
+                undelivered += ep.eject.len();
             }
         }
-        true
+        (queued, undelivered)
     }
 
     /// Advances the NoC by one cycle: local injection, router arbitration,
-    /// link traversal, local ejection.
+    /// link traversal, local ejection. The work scales with the traffic in
+    /// flight: with no queued flit, phases 1–4 are skipped, and within
+    /// them empty routers and planes are skipped.
     pub fn tick(&mut self) {
-        let cols = self.config.cols;
-        let rows = self.config.rows;
-        let n = cols * rows;
-
         // Phase 0: hand any fault-delayed packets whose release cycle has
         // arrived to their injection queues (no-op without armed faults).
         if self.faults.is_some() {
             self.release_delayed();
         }
-
-        // Phase 1: move up to one flit per (tile, plane) from the injection
-        // queue into the router's local input port.
-        for ti in 0..n {
-            for plane in Plane::ALL {
-                let free = self.routers[ti].free_slots(plane, Port::Local);
-                if free == 0 {
-                    continue;
-                }
-                if let Some(flit) = self.endpoints[ti][plane.index()].inject.pop_front() {
-                    self.routers[ti].push_input(plane, Port::Local, flit);
-                    if let Some(san) = self.sanitizer.as_deref_mut() {
-                        san.observe_push(ti, plane, Port::Local);
-                    }
-                }
-            }
-        }
-
-        // Phase 2: snapshot downstream free space. free[tile][plane][port]
-        // is the space in that router's *input* queue.
-        let mut free = vec![[[0usize; Port::COUNT]; Plane::COUNT]; n];
-        for (ti, r) in self.routers.iter().enumerate() {
-            for plane in Plane::ALL {
-                for port in Port::ALL {
-                    free[ti][plane.index()][port.index()] = r.free_slots(plane, port);
-                }
-            }
-        }
-        // Local "downstream" capacity: ejection queue slots (in packets; a
-        // partial packet may always continue, handled by treating a
-        // non-empty reassembly as free).
-        let mut local_free = vec![[0usize; Plane::COUNT]; n];
-        #[allow(clippy::needless_range_loop)] // ti also indexes self.endpoints
-        for ti in 0..n {
-            for plane in Plane::ALL {
-                let ep = &self.endpoints[ti][plane.index()];
-                local_free[ti][plane.index()] =
-                    self.config.eject_queue_depth.saturating_sub(ep.eject.len());
-            }
-        }
-
-        // Phase 3: arbitration per router; collect transfers.
-        let mut all_transfers: Vec<(usize, Transfer)> = Vec::new();
-        for ti in 0..n {
-            let coord = self.routers[ti].coord();
-            let transfers = {
-                let free_ref = &mut free;
-                let local_ref = &mut local_free;
-                self.routers[ti].select(|plane, out| {
-                    if out == Port::Local {
-                        local_ref[ti][plane.index()]
-                    } else {
-                        match out.step(coord) {
-                            Some(nc) if (nc.x as usize) < cols && (nc.y as usize) < rows => {
-                                let ni = nc.y as usize * cols + nc.x as usize;
-                                free_ref[ni][plane.index()][out.opposite().index()]
-                            }
-                            _ => 0, // edge of the mesh: nothing downstream
-                        }
-                    }
-                })
-            };
-            // Reserve the space consumed by the selected transfers so other
-            // routers (and later ports of this one) see updated capacity.
-            for t in &transfers {
-                if t.out_port == Port::Local {
-                    // A slot is only consumed when the tail completes a
-                    // packet; approximating per-flit is safe because depth
-                    // is in packets and only tails commit.
-                    if t.flit.kind.is_tail() {
-                        local_free[ti][t.plane.index()] =
-                            local_free[ti][t.plane.index()].saturating_sub(1);
-                    }
-                } else if let Some(nc) = t.out_port.step(self.routers[ti].coord()) {
-                    let ni = nc.y as usize * cols + nc.x as usize;
-                    let slot = &mut free[ni][t.plane.index()][t.out_port.opposite().index()];
-                    *slot = slot.saturating_sub(1);
-                }
-            }
-            if let Some(san) = self.sanitizer.as_deref_mut() {
-                for t in &transfers {
-                    san.observe_pop(ti, t.plane, t.in_port);
-                }
-            }
-            all_transfers.extend(transfers.into_iter().map(|t| (ti, t)));
-        }
-
-        // Phase 4: commit — link traversal and local ejection.
-        for (ti, t) in all_transfers {
-            if t.out_port == Port::Local {
-                let plane = t.plane;
-                let is_tail = t.flit.kind.is_tail();
-                let inject_cycle = t.flit.inject_cycle;
-                let ep = &mut self.endpoints[ti][plane.index()];
-                let (completed, violation) = ep.reasm.push(t.flit);
-                if let Some(v) = violation {
-                    let coord = self.routers[ti].coord();
-                    match self.sanitizer.as_deref_mut() {
-                        Some(san) if san.config.wormhole => san.record(Diagnostic::error(
-                            codes::WORMHOLE_INTERLEAVING,
-                            format!("tile({},{}) plane {plane}", coord.x, coord.y),
-                            match v {
-                                ReasmViolation::HeadInterleaved => {
-                                    "wormhole interleaving: a head flit arrived while \
-                                     another packet was still reassembling"
-                                }
-                                ReasmViolation::StrayFlit => {
-                                    "wormhole interleaving: a body or tail flit arrived \
-                                     with no packet under reassembly"
-                                }
-                            },
-                        )),
-                        _ => debug_assert!(
-                            false,
-                            "wormhole violation {v:?} at ({},{}) plane {plane}",
-                            coord.x, coord.y
-                        ),
-                    }
-                }
-                if let Some(mut pkt) = completed {
-                    debug_assert!(is_tail);
-                    if let Some(san) = self.sanitizer.as_deref_mut() {
-                        san.delivered[plane.index()] += pkt.flit_len() as u64;
-                    }
-                    let latency = (self.cycle + 1).saturating_sub(inject_cycle);
-                    self.stats.plane_mut(plane).record_delivery(latency);
-                    let dest = self.routers[ti].coord();
-                    let frame = pkt.frame();
-                    self.tracer.emit(self.cycle + 1, trace_coord(dest), || {
-                        TraceEvent::NocPacketEject {
-                            plane: plane.index(),
-                            latency,
-                            frame,
-                        }
-                    });
-                    if self.faults.is_some() {
-                        self.fault_corrupt(dest, &mut pkt);
-                    }
-                    let ep = &mut self.endpoints[ti][plane.index()];
-                    ep.eject.push_back(pkt);
-                }
-            } else {
-                let coord = self.routers[ti].coord();
-                let nc = t.out_port.step(coord).expect("transfer stays in mesh");
-                let ni = self.tile_index(nc);
-                self.stats.plane_mut(t.plane).flit_hops += 1;
-                self.routers[ni].push_input(t.plane, t.out_port.opposite(), t.flit);
-                if let Some(san) = self.sanitizer.as_deref_mut() {
-                    san.observe_push(ni, t.plane, t.out_port.opposite());
-                }
-            }
+        if self.queued_flits > 0 {
+            self.move_flits();
         }
 
         self.cycle += 1;
         self.stats.cycles = self.cycle;
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            (self.queued_flits, self.undelivered),
+            self.occupancy_by_scan(),
+            "mesh occupancy counters diverge from the queues"
+        );
         if self.sanitizer.is_some() {
             self.sanitize_audit();
+        }
+    }
+
+    /// Phases 1–4 of [`Mesh::tick`]; a no-op when no flit is queued.
+    fn move_flits(&mut self) {
+        let (cols, rows) = (self.config.cols, self.config.rows);
+        let depth = self.config.router.input_queue_depth;
+        let eject_depth = self.config.eject_queue_depth;
+
+        // Phase 1: move up to one flit per (tile, plane) from the injection
+        // queue into the router's local input port.
+        for (ti, (r, planes)) in self.routers.iter_mut().zip(&mut self.endpoints).enumerate() {
+            for plane in Plane::ALL {
+                let inject = &mut planes[plane.index()].inject;
+                if inject.is_empty() || r.free_slots(plane, Port::Local) == 0 {
+                    continue;
+                }
+                let flit = inject.pop_front().expect("non-empty injection queue");
+                r.push_input(plane, Port::Local, flit);
+                if let Some(san) = self.sanitizer.as_deref_mut() {
+                    san.observe_push(ti, plane, Port::Local);
+                }
+            }
+        }
+
+        // Phase 2: snapshot downstream free space before any router pops.
+        for (free, r) in self.free.iter_mut().zip(&self.routers) {
+            for plane in Plane::ALL {
+                free[plane.index()] = if r.plane_flits(plane) == 0 {
+                    [depth; Port::COUNT]
+                } else {
+                    Port::ALL.map(|port| r.free_slots(plane, port))
+                };
+            }
+        }
+
+        // Phase 3: arbitration per non-empty router. Each downstream input
+        // queue is fed by exactly one (router, output) pair, which selects
+        // at most once per plane per cycle, so the snapshot needs no
+        // reservations. The Local "downstream" capacity is ejection-queue
+        // slots in packets; a flit may enter only while one is free.
+        debug_assert!(self.transfers.is_empty());
+        for (ti, r) in self.routers.iter_mut().enumerate() {
+            if r.is_empty() {
+                continue;
+            }
+            let start = self.transfers.len();
+            let coord = r.coord();
+            let (free, planes) = (&self.free, &self.endpoints[ti]);
+            r.select(&mut self.transfers, |plane, out| {
+                if out == Port::Local {
+                    return eject_depth.saturating_sub(planes[plane.index()].eject.len());
+                }
+                match out.step(coord) {
+                    Some(nc) if (nc.x as usize) < cols && (nc.y as usize) < rows => {
+                        free[nc.y as usize * cols + nc.x as usize][plane.index()]
+                            [out.opposite().index()]
+                    }
+                    _ => 0, // edge of the mesh: nothing downstream
+                }
+            });
+            if let Some(san) = self.sanitizer.as_deref_mut() {
+                for t in &self.transfers[start..] {
+                    san.observe_pop(ti, t.plane, t.in_port);
+                }
+            }
+        }
+
+        // Phase 4: commit — link traversal and local ejection.
+        let mut transfers = std::mem::take(&mut self.transfers);
+        for t in transfers.drain(..) {
+            self.commit(t);
+        }
+        self.transfers = transfers;
+    }
+
+    /// Commits one selected transfer: a hop into the neighbour's input
+    /// queue, or a flit into the destination tile's reassembler.
+    fn commit(&mut self, t: Transfer) {
+        let (at, plane) = (t.at, t.plane);
+        let ti = self.tile_index(at);
+        if t.out_port != Port::Local {
+            let nc = t.out_port.step(at).expect("transfer stays in mesh");
+            let ni = self.tile_index(nc);
+            self.stats.plane_mut(plane).flit_hops += 1;
+            self.routers[ni].push_input(plane, t.out_port.opposite(), t.flit);
+            if let Some(san) = self.sanitizer.as_deref_mut() {
+                san.observe_push(ni, plane, t.out_port.opposite());
+            }
+            return;
+        }
+        self.queued_flits -= 1;
+        let is_tail = t.flit.kind.is_tail();
+        let inject_cycle = t.flit.inject_cycle;
+        let ep = &mut self.endpoints[ti][plane.index()];
+        let (completed, violation) = ep.reasm.push(t.flit);
+        if let Some(v) = violation {
+            match self.sanitizer.as_deref_mut() {
+                Some(san) if san.config.wormhole => san.record(Diagnostic::error(
+                    codes::WORMHOLE_INTERLEAVING,
+                    format!("tile({},{}) plane {plane}", at.x, at.y),
+                    match v {
+                        ReasmViolation::HeadInterleaved => {
+                            "wormhole interleaving: a head flit arrived while \
+                             another packet was still reassembling"
+                        }
+                        ReasmViolation::StrayFlit => {
+                            "wormhole interleaving: a body or tail flit arrived \
+                             with no packet under reassembly"
+                        }
+                    },
+                )),
+                _ => debug_assert!(
+                    false,
+                    "wormhole violation {v:?} at ({},{}) plane {plane}",
+                    at.x, at.y
+                ),
+            }
+        }
+        if let Some(mut pkt) = completed {
+            debug_assert!(is_tail);
+            if let Some(san) = self.sanitizer.as_deref_mut() {
+                san.delivered[plane.index()] += pkt.flit_len() as u64;
+            }
+            let latency = (self.cycle + 1).saturating_sub(inject_cycle);
+            self.stats.plane_mut(plane).record_delivery(latency);
+            let frame = pkt.frame();
+            self.tracer.emit(self.cycle + 1, trace_coord(at), || {
+                TraceEvent::NocPacketEject {
+                    plane: plane.index(),
+                    latency,
+                    frame,
+                }
+            });
+            if self.faults.is_some() {
+                self.fault_corrupt(at, &mut pkt);
+            }
+            self.endpoints[ti][plane.index()].eject.push_back(pkt);
+            self.undelivered += 1;
         }
     }
 
@@ -944,7 +970,7 @@ impl Mesh {
     /// packets held by a delay fault, whose absolute release cycle is
     /// reported as [`Progress::Blocked`] so fast-forward stays exact.
     pub fn progress(&self) -> Progress {
-        if !self.traffic_idle() || self.undelivered_total() > 0 {
+        if self.queued_flits > 0 || self.undelivered > 0 {
             return Progress::Active;
         }
         if let Some(f) = self.faults.as_deref() {
@@ -1547,5 +1573,123 @@ mod sanitizer_tests {
         let m = Mesh::new(MeshConfig::new(2, 2)).unwrap();
         assert!(!m.sanitizer_enabled());
         assert!(m.sanitizer_report().is_none());
+    }
+}
+
+#[cfg(test)]
+mod counter_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The idle/progress queries recomputed from a full queue scan instead
+    /// of the occupancy counters: `(is_idle, undelivered_total, progress)`.
+    fn oracle(m: &Mesh) -> (bool, usize, Progress) {
+        let (queued, undelivered) = m.occupancy_by_scan();
+        let delayed: Vec<u64> = m.faults.as_deref().map_or(Vec::new(), |f| {
+            f.delayed.iter().map(|d| d.release).collect()
+        });
+        let progress = if queued > 0 || undelivered > 0 {
+            Progress::Active
+        } else {
+            match delayed.iter().min() {
+                Some(&r) if r <= m.cycle => Progress::Active,
+                Some(&r) => Progress::Blocked { until: r },
+                None => Progress::Quiescent,
+            }
+        };
+        (queued == 0 && delayed.is_empty(), undelivered, progress)
+    }
+
+    fn check(m: &Mesh) -> Result<(), TestCaseError> {
+        let (queued, undelivered) = m.occupancy_by_scan();
+        prop_assert_eq!((m.queued_flits, m.undelivered), (queued, undelivered));
+        prop_assert_eq!(
+            (m.is_idle(), m.undelivered_total(), m.progress()),
+            oracle(m)
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random multi-plane traffic on 3×3 and 4×2 meshes with shallow
+        /// ejection queues drained at random (so ejection back-pressure
+        /// reaches into the mesh) and an optional link-delay fault: after
+        /// every inject, eject and tick the O(1) counters and the queries
+        /// built on them agree with the full-scan oracle, and each router's
+        /// per-plane flit count equals its queue occupancies (checked
+        /// inside the scan).
+        #[test]
+        fn counters_match_full_scan_oracle(
+            shape in 0usize..2,
+            packets in proptest::collection::vec(
+                (0usize..9, 0usize..9, 0usize..Plane::COUNT, 0usize..=40, 0u64..60),
+                1..24,
+            ),
+            seed in 1u64..u64::MAX,
+            delay in (proptest::bool::ANY, 0usize..24, 0u64..3, 1u64..4, 1u64..80),
+        ) {
+            let (cols, rows) = [(3, 3), (4, 2)][shape];
+            let mut cfg = MeshConfig::new(cols, rows);
+            cfg.eject_queue_depth = 2;
+            let mut m = Mesh::new(cfg).unwrap();
+            let (armed, victim, from_packet, count, extra_cycles) = delay;
+            if armed {
+                // Delay a plane that carries traffic in this case.
+                let plane = packets[victim % packets.len()].2;
+                let spec = FaultSpec::new(FaultKind::NocDelay {
+                    plane,
+                    from_packet,
+                    count,
+                    extra_cycles,
+                });
+                prop_assert!(m.install_fault(&spec));
+            }
+            let n = cols * rows;
+            let at = |i: usize| Coord::new((i % n % cols) as u8, (i % n / cols) as u8);
+            let mut pending: Vec<Packet> = Vec::new();
+            let mut rng = seed;
+            let mut delivered = 0;
+            for cycle in 0..2_000u64 {
+                for &(src, dst, plane, words, when) in &packets {
+                    if when == cycle {
+                        let words = (0..words as u64).collect();
+                        pending.push(Packet::new(
+                            at(src),
+                            at(dst),
+                            Plane::ALL[plane],
+                            MsgKind::DmaData,
+                            words,
+                        ));
+                    }
+                }
+                pending.retain(|p| {
+                    !m.can_inject(p.src(), p.plane(), p.flit_len())
+                        || m.inject(p.clone()).is_err()
+                });
+                check(&m)?;
+                // xorshift64: drain roughly one (tile, plane) in three.
+                for ti in 0..n {
+                    for plane in Plane::ALL {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        if rng % 3 == 0 && m.eject(at(ti), plane).is_some() {
+                            delivered += 1;
+                        }
+                    }
+                }
+                check(&m)?;
+                m.tick();
+                check(&m)?;
+                if cycle > 60 && pending.is_empty() && m.progress() == Progress::Quiescent {
+                    break;
+                }
+            }
+            prop_assert!(pending.is_empty());
+            prop_assert!(m.is_idle());
+            prop_assert_eq!(delivered, packets.len());
+        }
     }
 }

@@ -119,9 +119,11 @@ struct PlaneRouter {
 }
 
 impl PlaneRouter {
-    fn new() -> Self {
+    /// Allocates every input FIFO at its full `depth` up front, so pushes
+    /// never reallocate mid-simulation.
+    fn new(depth: usize) -> Self {
         PlaneRouter {
-            inputs: Default::default(),
+            inputs: std::array::from_fn(|_| VecDeque::with_capacity(depth)),
             locks: [None; Port::COUNT],
             rr: [0; Port::COUNT],
         }
@@ -137,20 +139,25 @@ pub struct Router {
     coord: Coord,
     table: RoutingTable,
     config: RouterConfig,
-    planes: Vec<PlaneRouter>,
+    planes: [PlaneRouter; Plane::COUNT],
+    /// Flits queued on each plane's input ports, kept in step with every
+    /// push and pop so arbitration can skip empty planes outright.
+    plane_flits: [usize; Plane::COUNT],
     /// Flits this router forwarded onto mesh links (all planes).
     forwarded_flits: u64,
     /// Flits moved through each `(plane, output port)` — link occupancy
     /// counters for the NoC heatmap (the Local column counts ejections).
-    link_flits: Vec<[u64; Port::COUNT]>,
+    link_flits: [[u64; Port::COUNT]; Plane::COUNT],
     /// Per-plane cycles a selected wormhole stalled on downstream
     /// back-pressure (zero credits).
-    credit_stalls: Vec<u64>,
+    credit_stalls: [u64; Plane::COUNT],
 }
 
 /// A transfer selected during the arbitration phase of a cycle.
 #[derive(Debug, Clone)]
 pub(crate) struct Transfer {
+    /// The router that selected the transfer.
+    pub(crate) at: Coord,
     pub(crate) plane: Plane,
     pub(crate) in_port: Port,
     pub(crate) out_port: Port,
@@ -164,10 +171,11 @@ impl Router {
             coord,
             table: RoutingTable::xy(coord, cols, rows),
             config,
-            planes: (0..Plane::COUNT).map(|_| PlaneRouter::new()).collect(),
+            planes: std::array::from_fn(|_| PlaneRouter::new(config.input_queue_depth)),
+            plane_flits: [0; Plane::COUNT],
             forwarded_flits: 0,
-            link_flits: vec![[0; Port::COUNT]; Plane::COUNT],
-            credit_stalls: vec![0; Plane::COUNT],
+            link_flits: [[0; Port::COUNT]; Plane::COUNT],
+            credit_stalls: [0; Plane::COUNT],
         }
     }
 
@@ -215,6 +223,27 @@ impl Router {
         self.planes[plane.index()].inputs[port.index()].len()
     }
 
+    /// Flits queued on `plane`'s input ports.
+    pub(crate) fn plane_flits(&self, plane: Plane) -> usize {
+        self.plane_flits[plane.index()]
+    }
+
+    /// Whether no input queue of any plane holds a flit.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.plane_flits.iter().all(|&n| n == 0)
+    }
+
+    /// [`Router::plane_flits`] recounted from the queues themselves: the
+    /// oracle the counter is checked against in debug builds and tests.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn plane_flits_by_scan(&self, plane: Plane) -> usize {
+        self.planes[plane.index()]
+            .inputs
+            .iter()
+            .map(VecDeque::len)
+            .sum()
+    }
+
     /// Pushes a flit into an input queue. Used by the mesh for link
     /// traversal and local injection.
     ///
@@ -230,6 +259,7 @@ impl Router {
             self.coord
         );
         q.push_back(flit);
+        self.plane_flits[plane.index()] += 1;
     }
 
     /// Arbitration phase: for every `(plane, output port)` pick at most one
@@ -237,14 +267,19 @@ impl Router {
     /// locks. `downstream_free` reports, for `(plane, out_port)`, how many
     /// flits the downstream queue can still accept this cycle.
     ///
-    /// Selected flits are popped from their input queues and returned; the
-    /// mesh commits them to downstream queues at the end of the cycle.
+    /// Selected flits are popped from their input queues and appended to
+    /// `transfers`; the mesh commits them to downstream queues at the end
+    /// of the cycle. A plane with no queued flit is skipped: nothing on it
+    /// could be chosen, so no lock, pointer or stall counter could move.
     pub(crate) fn select(
         &mut self,
+        transfers: &mut Vec<Transfer>,
         mut downstream_free: impl FnMut(Plane, Port) -> usize,
-    ) -> Vec<Transfer> {
-        let mut transfers = Vec::new();
+    ) {
         for plane in Plane::ALL {
+            if self.plane_flits[plane.index()] == 0 {
+                continue;
+            }
             let pr = &mut self.planes[plane.index()];
             for out in Port::ALL {
                 let oi = out.index();
@@ -284,6 +319,7 @@ impl Router {
                 let flit = pr.inputs[inp.index()]
                     .pop_front()
                     .expect("candidate queue non-empty");
+                self.plane_flits[plane.index()] -= 1;
                 // Maintain the wormhole lock.
                 if flit.kind.is_tail() {
                     pr.locks[oi] = None;
@@ -296,6 +332,7 @@ impl Router {
                 }
                 self.link_flits[plane.index()][oi] += 1;
                 transfers.push(Transfer {
+                    at: self.coord,
                     plane,
                     in_port: inp,
                     out_port: out,
@@ -303,7 +340,6 @@ impl Router {
                 });
             }
         }
-        transfers
     }
 
     fn route_port(table: &RoutingTable, dest: Coord) -> Port {
@@ -331,6 +367,13 @@ mod tests {
             inject_cycle: 0,
             frame: None,
         }
+    }
+
+    /// Runs one arbitration round and returns what it selected.
+    fn select(r: &mut Router, free: usize) -> Vec<Transfer> {
+        let mut transfers = Vec::new();
+        r.select(&mut transfers, |_, _| free);
+        transfers
     }
 
     #[test]
@@ -364,7 +407,7 @@ mod tests {
             Port::Local,
             flit(Coord::new(2, 0), FlitKind::HeadTail),
         );
-        let t = r.select(|_, _| 4);
+        let t = select(&mut r, 4);
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].out_port, Port::East);
     }
@@ -377,7 +420,7 @@ mod tests {
             Port::Local,
             flit(Coord::new(2, 0), FlitKind::HeadTail),
         );
-        let t = r.select(|_, _| 0);
+        let t = select(&mut r, 0);
         assert!(t.is_empty());
         assert_eq!(r.occupancy(Plane::DmaReq, Port::Local), 1);
     }
@@ -402,7 +445,7 @@ mod tests {
             flit(Coord::new(1, 0), FlitKind::HeadTail),
         );
         // Cycle 1: some head wins the East output.
-        let t1 = r.select(|_, _| 4);
+        let t1 = select(&mut r, 4);
         let winner_src_kind = t1
             .iter()
             .find(|t| t.out_port == Port::East)
@@ -411,7 +454,7 @@ mod tests {
             .kind;
         if winner_src_kind == FlitKind::Head {
             // Cycle 2: the locked wormhole must deliver A's tail, not B.
-            let t2 = r.select(|_, _| 4);
+            let t2 = select(&mut r, 4);
             let east: Vec<_> = t2.iter().filter(|t| t.out_port == Port::East).collect();
             assert_eq!(east.len(), 1);
             assert_eq!(east[0].flit.kind, FlitKind::Tail);
@@ -431,7 +474,7 @@ mod tests {
             Port::West,
             flit(Coord::new(0, 0), FlitKind::HeadTail),
         );
-        let t = r.select(|_, _| 4);
+        let t = select(&mut r, 4);
         assert_eq!(t.len(), 2);
         assert_eq!(r.link_flits(Plane::DmaReq, Port::East), 1);
         assert_eq!(r.link_flits(Plane::DmaReq, Port::Local), 1);
@@ -451,11 +494,11 @@ mod tests {
             flit(Coord::new(2, 0), FlitKind::HeadTail),
         );
         for _ in 0..3 {
-            assert!(r.select(|_, _| 0).is_empty());
+            assert!(select(&mut r, 0).is_empty());
         }
         assert_eq!(r.credit_stalls(Plane::DmaReq), 3);
         assert_eq!(r.link_flits(Plane::DmaReq, Port::East), 0);
-        let t = r.select(|_, _| 4);
+        let t = select(&mut r, 4);
         assert_eq!(t.len(), 1);
         assert_eq!(r.credit_stalls(Plane::DmaReq), 3);
         assert_eq!(r.link_flits(Plane::DmaReq, Port::East), 1);
