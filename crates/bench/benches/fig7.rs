@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use esp4ml::apps::{CaseApp, TrainedModels};
-use esp4ml::experiments::AppRun;
+use esp4ml::experiments::GridPoint;
 use esp4ml_runtime::ExecMode;
+use esp4ml_soc::SocEngine;
 
 fn bench_fig7_modes(c: &mut Criterion) {
     let models = TrainedModels::untrained();
@@ -15,7 +16,13 @@ fn bench_fig7_modes(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(mode.label()),
             &mode,
-            |b, &mode| b.iter(|| AppRun::execute(&app, &models, 4, mode).expect("run succeeds")),
+            |b, &mode| {
+                b.iter(|| {
+                    GridPoint { app, mode }
+                        .run(&models, 4, SocEngine::default())
+                        .expect("run succeeds")
+                })
+            },
         );
     }
     group.finish();

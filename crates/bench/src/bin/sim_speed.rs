@@ -12,7 +12,7 @@
 //! CI bench-baseline job, so speedup regressions show up in review.
 
 use esp4ml::apps::TrainedModels;
-use esp4ml::experiments::{AppRun, Fig7, GridPoint, Table1};
+use esp4ml::experiments::{AppRun, Fig7, GridPoint, RunOptions, Table1};
 use esp4ml_bench::cli::{self, Flag, HarnessSpec};
 use esp4ml_bench::parallel;
 use esp4ml_soc::SocEngine;
@@ -57,7 +57,8 @@ fn measure(
                 jobs: usize|
      -> Result<(Vec<AppRun>, f64), Box<dyn std::error::Error>> {
         let start = Instant::now();
-        let runs = parallel::run_grid(points, models, frames, engine, jobs, false, None, None)?;
+        let opts = RunOptions::default();
+        let runs = parallel::run_grid(points, models, frames, engine, jobs, opts, None)?;
         Ok((runs, start.elapsed().as_secs_f64()))
     };
     // `run_grid` clamps the pool to the grid size; report the worker

@@ -8,14 +8,14 @@
 //! the grid order regardless of which worker finished when, and the
 //! assembled figure is bit-identical to a serial run.
 //!
-//! Tracing stays serial by design: a [`esp4ml::TraceSession`] interleaves
-//! events from every run into one timeline, which only makes sense when
-//! the runs execute one after another.
+//! Observed runs stay serial by design: a [`esp4ml::TraceSession`]
+//! interleaves events from every run into one timeline, which only makes
+//! sense when the runs execute one after another. [`run_grid`] therefore
+//! runs on the calling thread whenever [`RunOptions::session`] is set.
 
-use crate::request::{Progress, ProgressSink};
+use crate::request::{ProgressSink, ProgressTracker};
 use esp4ml::apps::TrainedModels;
-use esp4ml::experiments::{AppRun, ExperimentError, GridPoint};
-use esp4ml::faults::FaultConfig;
+use esp4ml::experiments::{AppRun, ExperimentError, GridPoint, RunOptions};
 use esp4ml_soc::SocEngine;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -27,84 +27,71 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs every grid point under `engine` on up to `jobs` worker threads
-/// and returns the runs **in grid order**.
+/// Runs every grid point under `engine` with the extras of `opts`
+/// ([`GridPoint::run_with`]) on up to `jobs` worker threads and returns
+/// the runs **in grid order**.
 ///
-/// `jobs <= 1` (or a single-point grid) runs serially on the calling
-/// thread with no pool at all, so the serial path stays the trivially
-/// auditable oracle.
+/// `jobs <= 1`, a single-point grid or an observed run (`opts.session`
+/// set) runs serially on the calling thread with no pool at all, so the
+/// serial path stays the trivially auditable oracle. Sanitizer and fault
+/// options apply to every point alike, so the grid stays deterministic.
 ///
-/// With `sanitize` set, every point runs under the full runtime
-/// invariant sanitizer ([`esp4ml_soc::SanitizerConfig::all`]); the first
-/// violated invariant fails the grid with its typed diagnostics.
-///
-/// With `faults` set, every point installs the fault plan on its SoC
-/// and arms the watchdog/retry/failover recovery layer
-/// ([`GridPoint::run_faulted`]) — every worker injects the same plan,
-/// so the grid stays deterministic.
-///
-/// With `progress` set, one cumulative [`Progress`] snapshot is
-/// published per grid point **in grid order**, regardless of worker
-/// scheduling: workers only publish the contiguous prefix of finished
-/// slots, so the snapshot sequence is byte-identical to a serial run.
+/// With `progress` set, one cumulative [`crate::request::Progress`]
+/// snapshot is published per grid point **in grid order**, regardless
+/// of worker scheduling: workers only publish the contiguous prefix of
+/// finished slots, so the snapshot sequence is byte-identical to a
+/// serial run.
 ///
 /// # Errors
 ///
 /// The first (in grid order) point that failed to build or run, or whose
 /// sanitizer found violations.
-#[allow(clippy::too_many_arguments)] // mirrors the RunRequest field set
 pub fn run_grid(
     points: &[GridPoint],
     models: &TrainedModels,
     frames: u64,
     engine: SocEngine,
     jobs: usize,
-    sanitize: bool,
-    faults: Option<&FaultConfig>,
+    opts: RunOptions<'_>,
     progress: Option<&dyn ProgressSink>,
 ) -> Result<Vec<AppRun>, ExperimentError> {
-    let exec = |p: &GridPoint| {
-        if sanitize {
-            p.run_sanitized(models, frames, engine)
-        } else if let Some(fc) = faults {
-            p.run_faulted(models, frames, engine, fc)
-        } else {
-            p.run(models, frames, engine)
-        }
-    };
-    let total = points.len() as u64;
-    let publish = |state: &mut PublishState, run: &AppRun| {
-        if let Some(sink) = progress {
-            state.done += 1;
-            state.frames += run.metrics.frames;
-            state.cycles += run.metrics.cycles;
-            sink.publish(&Progress {
-                points_done: state.done,
-                points_total: total,
-                frames_done: state.frames,
-                cycles: state.cycles,
-                label: format!("{} {}", run.label, run.mode.label()),
-            });
-        }
-    };
+    let RunOptions {
+        sanitize,
+        faults,
+        mut session,
+    } = opts;
+    let mut tracker = ProgressTracker::new(progress, points.len() as u64);
     let jobs = jobs.min(points.len());
-    if jobs <= 1 {
-        let mut state = PublishState::default();
+    if jobs <= 1 || session.is_some() {
         let mut runs = Vec::with_capacity(points.len());
         for point in points {
-            let run = exec(point)?;
-            publish(&mut state, &run);
+            let opts = RunOptions {
+                sanitize,
+                faults,
+                session: session.as_deref_mut(),
+            };
+            let run = point.run_with(models, frames, engine, opts)?;
+            tracker.advance_run(&run);
             runs.push(run);
         }
         return Ok(runs);
     }
+    let exec = |p: &GridPoint| {
+        let opts = RunOptions {
+            sanitize,
+            faults,
+            session: None,
+        };
+        p.run_with(models, frames, engine, opts)
+    };
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<AppRun, ExperimentError>>>> =
         points.iter().map(|_| Mutex::new(None)).collect();
-    // Publisher state shared by all workers: `next` is the first slot
-    // not yet published. Whoever fills a slot advances the contiguous
-    // finished prefix, so snapshots always come out in grid order.
-    let publisher = Mutex::new(PublishState::default());
+    // Publisher state shared by all workers: the first slot not yet
+    // published, and the tracker. Whoever fills a slot advances the
+    // contiguous finished prefix, so snapshots always come out in grid
+    // order.
+    let publisher = Mutex::new((0usize, tracker));
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
@@ -112,16 +99,17 @@ pub fn run_grid(
                 let Some(point) = points.get(i) else { break };
                 let result = exec(point);
                 *slots[i].lock().expect("slot lock") = Some(result);
-                let mut state = publisher.lock().expect("publisher lock");
-                while let Some(slot) = slots.get(state.next) {
+                let mut guard = publisher.lock().expect("publisher lock");
+                let (next, tracker) = &mut *guard;
+                while let Some(slot) = slots.get(*next) {
                     let filled = slot.lock().expect("slot lock");
                     match filled.as_ref() {
-                        Some(Ok(run)) => publish(&mut state, run),
+                        Some(Ok(run)) => tracker.advance_run(run),
                         // A failed point fails the whole grid; stop
                         // publishing rather than skip past the error.
                         Some(Err(_)) | None => break,
                     }
-                    state.next += 1;
+                    *next += 1;
                 }
             });
         }
@@ -134,16 +122,6 @@ pub fn run_grid(
                 .expect("scope joined every worker, so every slot is filled")
         })
         .collect()
-}
-
-/// Cumulative progress accumulator shared by the serial and parallel
-/// paths of [`run_grid`].
-#[derive(Default)]
-struct PublishState {
-    next: usize,
-    done: u64,
-    frames: u64,
-    cycles: u64,
 }
 
 #[cfg(test)]
@@ -162,8 +140,7 @@ mod tests {
             2,
             SocEngine::EventDriven,
             1,
-            false,
-            None,
+            RunOptions::default(),
             None,
         )
         .unwrap();
@@ -173,8 +150,7 @@ mod tests {
             2,
             SocEngine::EventDriven,
             4,
-            false,
-            None,
+            RunOptions::default(),
             None,
         )
         .unwrap();

@@ -23,7 +23,7 @@ use crate::{chart, parallel};
 use esp4ml::apps::{build_soc2, CaseApp, SocId, TrainedModels};
 use esp4ml::check::{lint_all, lint_config, lint_dataflow, lint_mapping, FloorplanView};
 use esp4ml::deploy::{self, Deployment};
-use esp4ml::experiments::{AppRun, ExperimentError, Fig7, Fig8, GridPoint, Table1};
+use esp4ml::experiments::{AppRun, ExperimentError, Fig7, Fig8, GridPoint, RunOptions, Table1};
 use esp4ml::faults::{lint_fault_plan, CampaignReport, FaultConfig};
 use esp4ml::soc_config::SocConfigFile;
 use esp4ml::trace::schema::envelope_json;
@@ -206,11 +206,11 @@ impl ProgressSink for CollectingSink {
     }
 }
 
-/// Serial-path progress accumulator: counts units off as they complete
-/// and publishes the cumulative snapshot to the sink (no-op without
-/// one). The parallel grid driver has its own prefix-ordered publisher
-/// in [`crate::parallel::run_grid`]; both produce the same sequence.
-struct ProgressTracker<'a> {
+/// Progress accumulator: counts units off as they complete and
+/// publishes the cumulative snapshot to the sink (no-op without one).
+/// [`crate::parallel::run_grid`] feeds it in grid order from whichever
+/// worker completes the finished prefix.
+pub(crate) struct ProgressTracker<'a> {
     sink: Option<&'a dyn ProgressSink>,
     total: u64,
     done: u64,
@@ -219,7 +219,7 @@ struct ProgressTracker<'a> {
 }
 
 impl<'a> ProgressTracker<'a> {
-    fn new(sink: Option<&'a dyn ProgressSink>, total: u64) -> ProgressTracker<'a> {
+    pub(crate) fn new(sink: Option<&'a dyn ProgressSink>, total: u64) -> ProgressTracker<'a> {
         ProgressTracker {
             sink,
             total,
@@ -242,6 +242,12 @@ impl<'a> ProgressTracker<'a> {
                 label: label.to_string(),
             });
         }
+    }
+
+    /// [`ProgressTracker::advance`] by one finished grid-point run.
+    pub(crate) fn advance_run(&mut self, run: &AppRun) {
+        let label = format!("{} {}", run.label, run.mode.label());
+        self.advance(&label, run.metrics.frames, run.metrics.cycles);
     }
 }
 
@@ -819,7 +825,7 @@ fn observe_artifacts(
         let dropped = session.tracer().dropped();
         let dropped_spans = session.tracer().dropped_spans();
         let events = session.tracer().drain();
-        let doc = perfetto::chrome_trace_with_drop_counts(&events, dropped, dropped_spans);
+        let doc = perfetto::chrome_trace(&events, dropped, dropped_spans);
         artifacts.insert(
             "trace".into(),
             serde_json::to_string_pretty(&doc).expect("trace serializes"),
@@ -877,40 +883,24 @@ fn figure_response(
     });
     let mut artifacts = BTreeMap::new();
     let mut notes = Vec::new();
-    let runs: Vec<AppRun> = if let Some(mut session) = session_for(&req.observe) {
-        // Observed runs are serial: the collectors are single-stream.
-        let mut tracker = ProgressTracker::new(progress, points.len() as u64);
-        let mut runs = Vec::new();
-        for point in &points {
-            let run = AppRun::execute_traced_on(
-                &point.app,
-                models,
-                req.frames,
-                point.mode,
-                engine,
-                &mut session,
-            )?;
-            tracker.advance(
-                &format!("{} {}", run.label, run.mode.label()),
-                run.metrics.frames,
-                run.metrics.cycles,
-            );
-            runs.push(run);
-        }
-        observe_artifacts(&req.observe, &session, &mut artifacts, &mut notes);
-        runs
-    } else {
-        parallel::run_grid(
-            &points,
-            models,
-            req.frames,
-            engine,
-            req.effective_jobs(),
-            req.sanitize,
-            faults.as_ref(),
-            progress,
-        )?
+    let mut session = session_for(&req.observe);
+    let opts = RunOptions {
+        sanitize: req.sanitize,
+        faults: faults.as_ref(),
+        session: session.as_mut(),
     };
+    let runs = parallel::run_grid(
+        &points,
+        models,
+        req.frames,
+        engine,
+        req.effective_jobs(),
+        opts,
+        progress,
+    )?;
+    if let Some(session) = &session {
+        observe_artifacts(&req.observe, session, &mut artifacts, &mut notes);
+    }
     if req.sanitize {
         notes.push(format!("sanitizer: clean across {} runs", runs.len()));
     }
@@ -1045,6 +1035,21 @@ fn profile_violations(runs: &[ProfiledRun]) -> Vec<String> {
     violations
 }
 
+/// One grid point of the profile/spans workloads, observed by `session`.
+fn observed_run(
+    app: CaseApp,
+    mode: ExecMode,
+    req: &RunRequest,
+    models: &TrainedModels,
+    session: &mut TraceSession,
+) -> Result<AppRun, ExperimentError> {
+    let opts = RunOptions {
+        session: Some(session),
+        ..RunOptions::default()
+    };
+    GridPoint { app, mode }.run_with(models, req.frames, req.soc_engine(), opts)
+}
+
 fn profile_response(
     req: &RunRequest,
     models: &TrainedModels,
@@ -1063,13 +1068,8 @@ fn profile_response(
         for mode_name in &req.modes {
             let mode = mode_from_name(mode_name).map_err(RequestError::Invalid)?;
             let mut session = TraceSession::profiled(None);
-            let run =
-                AppRun::execute_traced_on(&app, models, req.frames, mode, engine, &mut session)?;
-            tracker.advance(
-                &format!("{} {}", app.label(), mode.label()),
-                run.metrics.frames,
-                run.metrics.cycles,
-            );
+            let run = observed_run(app, mode, req, models, &mut session)?;
+            tracker.advance_run(&run);
             let profile = session.profiles().first().cloned().ok_or_else(|| {
                 RequestError::Run(ExperimentError::Grid(
                     "profiled run produced no profile report".into(),
@@ -1222,13 +1222,8 @@ fn spans_response(
             // both collectors, so the agreement check compares two
             // independently-maintained analyses of the same run.
             let mut session = TraceSession::spanned(None, true);
-            let run =
-                AppRun::execute_traced_on(&app, models, req.frames, mode, engine, &mut session)?;
-            tracker.advance(
-                &format!("{} {}", app.label(), mode.label()),
-                run.metrics.frames,
-                run.metrics.cycles,
-            );
+            let run = observed_run(app, mode, req, models, &mut session)?;
+            tracker.advance_run(&run);
             let report = session.span_reports().first().cloned().ok_or_else(|| {
                 RequestError::Run(ExperimentError::Grid(
                     "spanned run produced no span report".into(),
@@ -1881,6 +1876,30 @@ mod tests {
         r.jobs = 4;
         let parallel = progress_lines(&r, &models);
         assert_eq!(serial, parallel, "parallel publishes in grid order");
+        // Observing a run never changes its progress or its results.
+        let plain = execute(&r, &models).expect("runs").artifacts["metrics"].clone();
+        let mut observed = r.clone();
+        observed.observe.trace = true;
+        observed.observe.sample_every = Some(500);
+        for jobs in [1, 4] {
+            observed.jobs = jobs;
+            let sink = CollectingSink::new();
+            let resp = execute_with_progress(&observed, &models, Some(&sink)).expect("runs");
+            let lines: Vec<String> = sink
+                .snapshots()
+                .iter()
+                .map(Progress::to_json_line)
+                .collect();
+            assert_eq!(lines, serial, "observed progress at jobs {jobs}");
+            assert_eq!(
+                resp.artifacts["metrics"], plain,
+                "observed metrics at jobs {jobs}"
+            );
+            assert!(
+                resp.artifacts.contains_key("counters_csv"),
+                "run was observed"
+            );
+        }
         r.engine = "naive".into();
         let naive = progress_lines(&r, &models);
         assert_eq!(serial, naive, "engines publish identical snapshots");

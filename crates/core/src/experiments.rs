@@ -110,7 +110,9 @@ impl GridPoint {
         format!("{} {}", self.app.label(), self.mode.label())
     }
 
-    /// Executes this point on a freshly built SoC under `engine`.
+    /// Executes this point on a freshly built SoC under `engine`: builds
+    /// the SoC, loads the inputs, runs the dataflow and collects
+    /// predictions.
     ///
     /// # Errors
     ///
@@ -121,279 +123,29 @@ impl GridPoint {
         frames: u64,
         engine: SocEngine,
     ) -> Result<AppRun, ExperimentError> {
-        AppRun::execute_on(&self.app, models, frames, self.mode, engine)
+        self.run_with(models, frames, engine, RunOptions::default())
     }
 
-    /// [`GridPoint::run`] with the runtime sanitizer armed
-    /// ([`SanitizerConfig::all`]). The run fails with
-    /// [`ExperimentError::Sanitizer`] on any invariant violation;
-    /// otherwise the (clean) verdict is attached to the returned
-    /// [`AppRun::sanitizer`].
+    /// [`GridPoint::run`] with the extras of `opts` (see [`RunOptions`]).
     ///
     /// # Errors
     ///
-    /// Build, runtime, or sanitizer failures.
-    pub fn run_sanitized(
+    /// Build failures; runtime failures that fault recovery (if armed)
+    /// could not absorb; [`ExperimentError::Sanitizer`] when the armed
+    /// sanitizer found a violated invariant.
+    pub fn run_with(
         &self,
         models: &TrainedModels,
         frames: u64,
         engine: SocEngine,
+        opts: RunOptions<'_>,
     ) -> Result<AppRun, ExperimentError> {
-        AppRun::execute_sanitized(&self.app, models, frames, self.mode, engine)
-    }
-
-    /// [`GridPoint::run`] under injected hardware faults
-    /// ([`AppRun::execute_faulted`]): the plan is installed on the SoC
-    /// and the watchdog/retry/failover recovery layer is armed.
-    ///
-    /// # Errors
-    ///
-    /// Build failures, or runtime failures recovery could not absorb.
-    pub fn run_faulted(
-        &self,
-        models: &TrainedModels,
-        frames: u64,
-        engine: SocEngine,
-        faults: &FaultConfig,
-    ) -> Result<AppRun, ExperimentError> {
-        AppRun::execute_faulted(&self.app, models, frames, self.mode, engine, faults)
-    }
-}
-
-/// One measured execution of a case-study application on its SoC.
-#[derive(Debug, Clone)]
-pub struct AppRun {
-    /// Which application configuration ran.
-    pub label: String,
-    /// Execution mode.
-    pub mode: ExecMode,
-    /// Runtime metrics (cycles, DRAM accesses, throughput).
-    pub metrics: RunMetrics,
-    /// SoC average dynamic power in watts (whole SoC, as the paper
-    /// conservatively reports).
-    pub watts: f64,
-    /// Predicted class per frame.
-    pub predictions: Vec<usize>,
-    /// Ground-truth label per frame.
-    pub labels: Vec<usize>,
-    /// The sanitizer's verdict when the run was sanitized (`None` when
-    /// the sanitizer was off). An attached report never carries errors —
-    /// those abort the run with [`ExperimentError::Sanitizer`] — but may
-    /// carry warnings.
-    pub sanitizer: Option<Report>,
-    /// Whether the run degraded to the processor-tile software path
-    /// after the hardware pipeline proved unrecoverable (only possible
-    /// under a [`FaultConfig`] with `software_fallback` enabled). When
-    /// set, `metrics` and `watts` come from the Ariane platform model,
-    /// not the accelerator pipeline.
-    pub software_fallback: bool,
-}
-
-impl AppRun {
-    /// Builds the SoC, loads the inputs, runs the dataflow and collects
-    /// predictions.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn execute(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(
-            app,
-            models,
-            frames,
-            mode,
-            SocEngine::default(),
-            None,
-            false,
-            None,
-        )
-    }
-
-    /// [`AppRun::execute`] under an explicit simulation engine
-    /// ([`SocEngine::Naive`] as the cycle-exact oracle,
-    /// [`SocEngine::EventDriven`] for fast-forward simulation).
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn execute_on(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        engine: SocEngine,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(app, models, frames, mode, engine, None, false, None)
-    }
-
-    /// [`AppRun::execute_on`] under injected hardware faults: the
-    /// config's [`esp4ml_fault::FaultPlan`] is installed on the SoC
-    /// before the run, the watchdog/recovery policy is armed on the
-    /// [`RunSpec`], and — when the config allows it — an unrecoverable
-    /// pipeline degrades to the processor-tile software path instead of
-    /// failing (flagged on the returned run's `software_fallback` field).
-    ///
-    /// # Errors
-    ///
-    /// Build failures, or runtime failures the recovery machinery could
-    /// not absorb.
-    pub fn execute_faulted(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        engine: SocEngine,
-        faults: &FaultConfig,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(app, models, frames, mode, engine, None, false, Some(faults))
-    }
-
-    /// [`AppRun::execute_on`] with the full runtime sanitizer armed:
-    /// credit/flit conservation, wormhole framing, plane discipline and
-    /// DMA byte accounting are audited throughout the run (at every tick
-    /// under [`SocEngine::Naive`], additionally at every fast-forward
-    /// boundary under [`SocEngine::EventDriven`] — the verdicts are
-    /// identical either way).
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures, or [`ExperimentError::Sanitizer`] when
-    /// any invariant was violated.
-    pub fn execute_sanitized(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        engine: SocEngine,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(app, models, frames, mode, engine, None, true, None)
-    }
-
-    /// [`AppRun::execute`] with observability: events flow into the
-    /// session's tracer (opened by a `RunStart` marker naming the run)
-    /// and the per-run counter series and NoC summary are collected
-    /// into the session. When the session profiles
-    /// ([`TraceSession::profiled`]), a
-    /// [`ProfileReport`] is collected too.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn execute_traced(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        session: &mut TraceSession,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(
-            app,
-            models,
-            frames,
-            mode,
-            SocEngine::default(),
-            Some(session),
-            false,
-            None,
-        )
-    }
-
-    /// [`AppRun::execute_traced`] under an explicit simulation engine —
-    /// the combination the engine-equivalence suite uses to prove both
-    /// engines emit identical profile reports.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn execute_traced_on(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        engine: SocEngine,
-        session: &mut TraceSession,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(
-            app,
-            models,
-            frames,
-            mode,
-            engine,
-            Some(session),
-            false,
-            None,
-        )
-    }
-
-    /// [`AppRun::execute_faulted`] with observability: injected faults
-    /// and the recovery layer on a traced run, so retry backoffs and
-    /// failovers land in the session's event stream (and span trees).
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn execute_faulted_traced(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        engine: SocEngine,
-        faults: &FaultConfig,
-        session: &mut TraceSession,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(
-            app,
-            models,
-            frames,
-            mode,
-            engine,
-            Some(session),
-            false,
-            Some(faults),
-        )
-    }
-
-    /// Derives profiler stage groups `(stage name, member instances)`
-    /// from a dataflow, in pipeline order. Multi-instance stages are
-    /// named by their kernel prefix (instance digits stripped);
-    /// single-instance stages keep the device name.
-    fn stage_groups(dataflow: &Dataflow) -> Vec<(String, Vec<String>)> {
-        dataflow
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| {
-                let name = if stage.devices.len() == 1 {
-                    stage.devices[0].clone()
-                } else {
-                    let stripped = stage.devices[0].trim_end_matches(|c: char| c.is_ascii_digit());
-                    if stripped.is_empty() {
-                        format!("stage{i}")
-                    } else {
-                        stripped.to_string()
-                    }
-                };
-                (name, stage.devices.clone())
-            })
-            .collect()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute_with(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        engine: SocEngine,
-        mut session: Option<&mut TraceSession>,
-        sanitize: bool,
-        faults: Option<&FaultConfig>,
-    ) -> Result<AppRun, ExperimentError> {
+        let RunOptions {
+            sanitize,
+            faults,
+            mut session,
+        } = opts;
+        let (app, mode) = (&self.app, self.mode);
         let mut soc = app.build_soc(models)?;
         soc.set_engine(engine);
         if sanitize {
@@ -408,10 +160,10 @@ impl AppRun {
         let dataflow = app.dataflow();
         if let Some(session) = session.as_deref_mut() {
             if let Some(profiler) = session.profiler() {
-                profiler.set_stage_groups(Self::stage_groups(&dataflow));
+                profiler.set_stage_groups(stage_groups(&dataflow));
             }
             if let Some(spans) = session.span_collector() {
-                spans.set_stage_groups(Self::stage_groups(&dataflow));
+                spans.set_stage_groups(stage_groups(&dataflow));
             }
             let proc = soc.primary_proc();
             let label = run_label.clone();
@@ -454,7 +206,7 @@ impl AppRun {
                 // Graceful degradation: the hardware pipeline is
                 // unrecoverable (retries and spares exhausted), so the
                 // application reruns on the processor tile in software.
-                return Self::software_fallback(app, models, frames, mode, &rt, labels);
+                return software_fallback(app, models, frames, mode, &rt, labels);
             }
             Err(e) => return Err(e.into()),
         };
@@ -512,70 +264,39 @@ impl AppRun {
             software_fallback: false,
         })
     }
+}
 
-    /// The graceful-degradation path: reruns the application on the
-    /// Ariane processor tile in software (float models, no
-    /// accelerators) and reports metrics through the honest
-    /// [`Platform::ariane`] performance/power model. Cycles are modeled
-    /// at the SoC clock so throughput stays comparable with the
-    /// hardware runs it replaces.
-    fn software_fallback(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        rt: &EspRuntime,
-        labels: Vec<usize>,
-    ) -> Result<AppRun, ExperimentError> {
-        let proc = rt.soc().primary_proc();
-        let from = app.label();
-        rt.soc()
-            .tracer()
-            .emit(rt.soc().cycle(), TileCoord::new(proc.x, proc.y), || {
-                TraceEvent::FailedOver {
-                    from,
-                    to: "software".to_string(),
-                }
-            });
-        let sw = SoftwareApp::new(
-            Some(models.classifier().clone()),
-            Some(models.denoiser().clone()),
-        );
-        let mut gen = SvhnGenerator::new(DATA_SEED);
-        let mut predictions = Vec::with_capacity(frames as usize);
-        for _ in 0..frames {
-            let (image, _) = app.input_frame(&mut gen);
-            predictions.push(match app {
-                CaseApp::NightVisionClassifier { .. } => sw.night_vision_classify(&image),
-                CaseApp::DenoiserClassifier => sw.denoise_classify(&image),
-                CaseApp::MultiTileClassifier => sw.classify(&image),
-            });
-        }
-        let ariane = Platform::ariane();
-        let (_, workload) = Workload::table1_apps()
-            .into_iter()
-            .find(|(name, _)| *name == app.app_name())
-            .expect("every case app has a Table I workload");
-        let clock_hz = rt.soc().clock_hz();
-        let metrics = RunMetrics {
-            frames,
-            cycles: (frames as f64 * ariane.frame_seconds(&workload) * clock_hz).ceil() as u64,
-            clock_hz,
-            faults_injected: rt.soc().faults_injected(),
-            ..RunMetrics::default()
-        };
-        Ok(AppRun {
-            label: app.label(),
-            mode,
-            metrics,
-            watts: ariane.average_watts(&workload),
-            predictions,
-            labels,
-            sanitizer: None,
-            software_fallback: true,
-        })
-    }
+/// One measured execution of a case-study application on its SoC, as
+/// [`GridPoint::run`] and [`GridPoint::run_with`] return it.
+#[derive(Debug, Clone)]
+pub struct AppRun {
+    /// Which application configuration ran.
+    pub label: String,
+    /// Execution mode.
+    pub mode: ExecMode,
+    /// Runtime metrics (cycles, DRAM accesses, throughput).
+    pub metrics: RunMetrics,
+    /// SoC average dynamic power in watts (whole SoC, as the paper
+    /// conservatively reports).
+    pub watts: f64,
+    /// Predicted class per frame.
+    pub predictions: Vec<usize>,
+    /// Ground-truth label per frame.
+    pub labels: Vec<usize>,
+    /// The sanitizer's verdict when the run was sanitized (`None` when
+    /// the sanitizer was off). An attached report never carries errors —
+    /// those abort the run with [`ExperimentError::Sanitizer`] — but may
+    /// carry warnings.
+    pub sanitizer: Option<Report>,
+    /// Whether the run degraded to the processor-tile software path
+    /// after the hardware pipeline proved unrecoverable (only possible
+    /// under a [`FaultConfig`] with `software_fallback` enabled). When
+    /// set, `metrics` and `watts` come from the Ariane platform model,
+    /// not the accelerator pipeline.
+    pub software_fallback: bool,
+}
 
+impl AppRun {
     /// Classification accuracy of the run against ground truth.
     pub fn accuracy(&self) -> f64 {
         if self.labels.is_empty() {
@@ -594,6 +315,121 @@ impl AppRun {
     pub fn frames_per_joule(&self) -> f64 {
         self.metrics.frames_per_joule(self.watts)
     }
+}
+
+/// The optional extras of one [`GridPoint::run_with`]. `Default` is a
+/// plain run, exactly [`GridPoint::run`].
+#[derive(Debug, Default)]
+pub struct RunOptions<'a> {
+    /// Arm the full runtime sanitizer ([`SanitizerConfig::all`]):
+    /// credit/flit conservation, wormhole framing, plane discipline and
+    /// DMA byte accounting are audited throughout the run (at every tick
+    /// under [`SocEngine::Naive`], additionally at every fast-forward
+    /// boundary under [`SocEngine::EventDriven`]; the verdicts are
+    /// identical either way). A violation fails the run with
+    /// [`ExperimentError::Sanitizer`]; a clean verdict is attached to
+    /// [`AppRun::sanitizer`].
+    pub sanitize: bool,
+    /// Inject hardware faults: the config's [`esp4ml_fault::FaultPlan`]
+    /// is installed on the SoC, the watchdog/recovery policy is armed on
+    /// the [`RunSpec`], and, when the config allows it, an unrecoverable
+    /// pipeline degrades to the processor-tile software path instead of
+    /// failing (flagged on [`AppRun::software_fallback`]).
+    pub faults: Option<&'a FaultConfig>,
+    /// Observe the run: events flow into the session's tracer (opened by
+    /// a `RunStart` marker naming the run), and the per-run counter
+    /// series and NoC summary are collected into the session, plus a
+    /// [`ProfileReport`] and span report when the session profiles or
+    /// assembles spans.
+    pub session: Option<&'a mut TraceSession>,
+}
+
+/// Derives profiler stage groups `(stage name, member instances)`
+/// from a dataflow, in pipeline order. Multi-instance stages are
+/// named by their kernel prefix (instance digits stripped);
+/// single-instance stages keep the device name.
+fn stage_groups(dataflow: &Dataflow) -> Vec<(String, Vec<String>)> {
+    dataflow
+        .stages
+        .iter()
+        .enumerate()
+        .map(|(i, stage)| {
+            let name = if stage.devices.len() == 1 {
+                stage.devices[0].clone()
+            } else {
+                let stripped = stage.devices[0].trim_end_matches(|c: char| c.is_ascii_digit());
+                if stripped.is_empty() {
+                    format!("stage{i}")
+                } else {
+                    stripped.to_string()
+                }
+            };
+            (name, stage.devices.clone())
+        })
+        .collect()
+}
+
+/// The graceful-degradation path: reruns the application on the
+/// Ariane processor tile in software (float models, no
+/// accelerators) and reports metrics through the honest
+/// [`Platform::ariane`] performance/power model. Cycles are modeled
+/// at the SoC clock so throughput stays comparable with the
+/// hardware runs it replaces.
+fn software_fallback(
+    app: &CaseApp,
+    models: &TrainedModels,
+    frames: u64,
+    mode: ExecMode,
+    rt: &EspRuntime,
+    labels: Vec<usize>,
+) -> Result<AppRun, ExperimentError> {
+    let proc = rt.soc().primary_proc();
+    let from = app.label();
+    rt.soc()
+        .tracer()
+        .emit(rt.soc().cycle(), TileCoord::new(proc.x, proc.y), || {
+            TraceEvent::FailedOver {
+                from,
+                to: "software".to_string(),
+            }
+        });
+    let sw = SoftwareApp::new(
+        Some(models.classifier().clone()),
+        Some(models.denoiser().clone()),
+    );
+    let mut gen = SvhnGenerator::new(DATA_SEED);
+    let mut predictions = Vec::with_capacity(frames as usize);
+    for _ in 0..frames {
+        let (image, _) = app.input_frame(&mut gen);
+        predictions.push(match app {
+            CaseApp::NightVisionClassifier { .. } => sw.night_vision_classify(&image),
+            CaseApp::DenoiserClassifier => sw.denoise_classify(&image),
+            CaseApp::MultiTileClassifier => sw.classify(&image),
+        });
+    }
+    let ariane = Platform::ariane();
+    let (_, workload) = Workload::table1_apps()
+        .into_iter()
+        .find(|(name, _)| *name == app.app_name())
+        .expect("every case app has a Table I workload");
+    let clock_hz = rt.soc().clock_hz();
+    let metrics = RunMetrics {
+        frames,
+        cycles: (frames as f64 * ariane.frame_seconds(&workload) * clock_hz).ceil() as u64,
+        clock_hz,
+        faults_injected: rt.soc().faults_injected(),
+        ..RunMetrics::default()
+    };
+    Ok(AppRun {
+        label: app.label(),
+        mode,
+        metrics,
+        watts: ariane.average_watts(&workload),
+        predictions,
+        labels,
+        sanitizer: None,
+        software_fallback: true,
+    })
 }
 
 /// One column of Table I.
@@ -684,50 +520,6 @@ impl Table1 {
             });
         }
         Ok(Table1 { columns })
-    }
-
-    /// Generates the table by running each best-case configuration in p2p
-    /// mode over `frames` frames.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate(models: &TrainedModels, frames: u64) -> Result<Table1, ExperimentError> {
-        Self::generate_with(models, frames, None)
-    }
-
-    /// [`Table1::generate`] with every run traced into `session`.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate_traced(
-        models: &TrainedModels,
-        frames: u64,
-        session: &mut TraceSession,
-    ) -> Result<Table1, ExperimentError> {
-        Self::generate_with(models, frames, Some(session))
-    }
-
-    fn generate_with(
-        models: &TrainedModels,
-        frames: u64,
-        mut session: Option<&mut TraceSession>,
-    ) -> Result<Table1, ExperimentError> {
-        let mut runs = Vec::new();
-        for point in Self::grid() {
-            runs.push(AppRun::execute_with(
-                &point.app,
-                models,
-                frames,
-                point.mode,
-                SocEngine::default(),
-                session.as_deref_mut(),
-                false,
-                None,
-            )?);
-        }
-        Self::assemble(models, &runs)
     }
 }
 
@@ -894,50 +686,6 @@ impl Fig7 {
         }
         Ok(Fig7 { clusters })
     }
-
-    /// Generates the figure data by running every configuration in every
-    /// mode over `frames` frames.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate(models: &TrainedModels, frames: u64) -> Result<Fig7, ExperimentError> {
-        Self::generate_with(models, frames, None)
-    }
-
-    /// [`Fig7::generate`] with every run traced into `session`.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate_traced(
-        models: &TrainedModels,
-        frames: u64,
-        session: &mut TraceSession,
-    ) -> Result<Fig7, ExperimentError> {
-        Self::generate_with(models, frames, Some(session))
-    }
-
-    fn generate_with(
-        models: &TrainedModels,
-        frames: u64,
-        mut session: Option<&mut TraceSession>,
-    ) -> Result<Fig7, ExperimentError> {
-        let mut runs = Vec::new();
-        for point in Self::grid() {
-            runs.push(AppRun::execute_with(
-                &point.app,
-                models,
-                frames,
-                point.mode,
-                SocEngine::default(),
-                session.as_deref_mut(),
-                false,
-                None,
-            )?);
-        }
-        Self::assemble(&runs)
-    }
 }
 
 impl fmt::Display for Fig7 {
@@ -1048,49 +796,6 @@ impl Fig8 {
             .collect();
         Ok(Fig8 { rows })
     }
-
-    /// Generates the figure data over `frames` frames per application.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate(models: &TrainedModels, frames: u64) -> Result<Fig8, ExperimentError> {
-        Self::generate_with(models, frames, None)
-    }
-
-    /// [`Fig8::generate`] with every run traced into `session`.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate_traced(
-        models: &TrainedModels,
-        frames: u64,
-        session: &mut TraceSession,
-    ) -> Result<Fig8, ExperimentError> {
-        Self::generate_with(models, frames, Some(session))
-    }
-
-    fn generate_with(
-        models: &TrainedModels,
-        frames: u64,
-        mut session: Option<&mut TraceSession>,
-    ) -> Result<Fig8, ExperimentError> {
-        let mut runs = Vec::new();
-        for point in Self::grid() {
-            runs.push(AppRun::execute_with(
-                &point.app,
-                models,
-                frames,
-                point.mode,
-                SocEngine::default(),
-                session.as_deref_mut(),
-                false,
-                None,
-            )?);
-        }
-        Self::assemble(&runs)
-    }
 }
 
 impl fmt::Display for Fig8 {
@@ -1120,10 +825,25 @@ mod tests {
         TrainedModels::untrained()
     }
 
+    fn point(app: CaseApp, mode: ExecMode) -> GridPoint {
+        GridPoint { app, mode }
+    }
+
+    fn traced(app: CaseApp, mode: ExecMode, frames: u64, session: &mut TraceSession) -> AppRun {
+        let opts = RunOptions {
+            session: Some(session),
+            ..RunOptions::default()
+        };
+        point(app, mode)
+            .run_with(&models(), frames, SocEngine::default(), opts)
+            .unwrap()
+    }
+
     #[test]
     fn app_run_denoiser_classifier_p2p() {
-        let run =
-            AppRun::execute(&CaseApp::DenoiserClassifier, &models(), 3, ExecMode::P2p).unwrap();
+        let run = point(CaseApp::DenoiserClassifier, ExecMode::P2p)
+            .run(&models(), 3, SocEngine::default())
+            .unwrap();
         assert_eq!(run.metrics.frames, 3);
         assert_eq!(run.predictions.len(), 3);
         assert!(run.metrics.frames_per_second() > 0.0);
@@ -1136,7 +856,9 @@ mod tests {
         let m = models();
         let mut preds = Vec::new();
         for mode in ExecMode::ALL {
-            let run = AppRun::execute(&CaseApp::MultiTileClassifier, &m, 3, mode).unwrap();
+            let run = point(CaseApp::MultiTileClassifier, mode)
+                .run(&m, 3, SocEngine::default())
+                .unwrap();
             preds.push(run.predictions.clone());
         }
         assert_eq!(preds[0], preds[1]);
@@ -1146,8 +868,12 @@ mod tests {
     #[test]
     fn fig8_shows_reduction_for_denoiser() {
         let m = models();
-        let no_p2p = AppRun::execute(&CaseApp::DenoiserClassifier, &m, 3, ExecMode::Pipe).unwrap();
-        let p2p = AppRun::execute(&CaseApp::DenoiserClassifier, &m, 3, ExecMode::P2p).unwrap();
+        let run = |mode| {
+            point(CaseApp::DenoiserClassifier, mode)
+                .run(&m, 3, SocEngine::default())
+                .unwrap()
+        };
+        let (no_p2p, p2p) = (run(ExecMode::Pipe), run(ExecMode::P2p));
         let row = Fig8Row {
             app: "x".into(),
             config: "y".into(),
@@ -1164,14 +890,7 @@ mod tests {
     #[test]
     fn profiled_session_collects_report() {
         let mut session = TraceSession::profiled(None);
-        let run = AppRun::execute_traced(
-            &CaseApp::DenoiserClassifier,
-            &models(),
-            3,
-            ExecMode::P2p,
-            &mut session,
-        )
-        .unwrap();
+        let run = traced(CaseApp::DenoiserClassifier, ExecMode::P2p, 3, &mut session);
         assert_eq!(session.profiles().len(), 1);
         let report = &session.profiles()[0];
         assert_eq!(report.run.frames, 3);
@@ -1198,14 +917,12 @@ mod tests {
     #[test]
     fn multi_tile_stages_stay_distinct() {
         let mut session = TraceSession::profiled(None);
-        AppRun::execute_traced(
-            &CaseApp::MultiTileClassifier,
-            &models(),
-            2,
+        traced(
+            CaseApp::MultiTileClassifier,
             ExecMode::Pipe,
+            2,
             &mut session,
-        )
-        .unwrap();
+        );
         let report = &session.profiles()[0];
         // Five sequential single-instance stages must not be merged.
         let names: Vec<&str> = report.run.stages.iter().map(|s| s.name.as_str()).collect();
@@ -1215,12 +932,11 @@ mod tests {
 
     #[test]
     fn night_vision_pipeline_runs_p2p() {
-        let run = AppRun::execute(
-            &CaseApp::NightVisionClassifier { nv: 2, cl: 2 },
-            &models(),
-            4,
+        let run = point(
+            CaseApp::NightVisionClassifier { nv: 2, cl: 2 },
             ExecMode::P2p,
         )
+        .run(&models(), 4, SocEngine::default())
         .unwrap();
         assert_eq!(run.metrics.frames, 4);
         // p2p carries the NV output directly: DRAM sees input + labels only.
@@ -1308,8 +1024,15 @@ impl AccuracyReport {
         }
         let frac = |h: u64| h as f64 / n as f64;
 
-        let soc_nv = AppRun::execute(&nv_app, models, n, ExecMode::P2p)?;
-        let soc_de = AppRun::execute(&de_app, models, n, ExecMode::P2p)?;
+        let soc_run = |app| {
+            GridPoint {
+                app,
+                mode: ExecMode::P2p,
+            }
+            .run(models, n, SocEngine::default())
+        };
+        let soc_nv = soc_run(nv_app)?;
+        let soc_de = soc_run(de_app)?;
 
         Ok(AccuracyReport {
             n,

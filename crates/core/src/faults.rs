@@ -13,7 +13,7 @@
 //! `espfault` binary prints.
 
 use crate::apps::{CaseApp, TrainedModels};
-use crate::experiments::{AppRun, ExperimentError};
+use crate::experiments::{ExperimentError, GridPoint, RunOptions};
 use esp4ml_check::{codes, Diagnostic, Report};
 use esp4ml_fault::{CampaignTargets, FaultClass, FaultKind, FaultPlan};
 use esp4ml_noc::Plane;
@@ -216,7 +216,8 @@ impl CampaignReport {
     ) -> Result<CampaignReport, ExperimentError> {
         let mut cases = Vec::new();
         for (app, mode) in Self::grid() {
-            let healthy = AppRun::execute_on(&app, models, frames, mode, engine)?;
+            let point = GridPoint { app, mode };
+            let healthy = point.run(models, frames, engine)?;
             let devices: Vec<String> = app
                 .dataflow()
                 .stages
@@ -244,9 +245,11 @@ impl CampaignReport {
                         recovery: RecoveryPolicy::default(),
                         software_fallback: true,
                     };
-                    let case = match AppRun::execute_faulted(
-                        &app, models, frames, mode, engine, &config,
-                    ) {
+                    let opts = RunOptions {
+                        faults: Some(&config),
+                        ..RunOptions::default()
+                    };
+                    let case = match point.run_with(models, frames, engine, opts) {
                         Ok(run) => {
                             let status = if run.software_fallback {
                                 "degraded"

@@ -31,14 +31,18 @@
 //!
 //! ```
 //! use esp4ml::apps::{CaseApp, TrainedModels};
-//! use esp4ml::experiments::AppRun;
+//! use esp4ml::experiments::GridPoint;
 //! use esp4ml_runtime::ExecMode;
+//! use esp4ml_soc::SocEngine;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Untrained weights keep the doctest fast; see `TrainedModels::train`.
 //! let models = TrainedModels::untrained();
-//! let app = CaseApp::DenoiserClassifier;
-//! let run = AppRun::execute(&app, &models, 4, ExecMode::P2p)?;
+//! let point = GridPoint {
+//!     app: CaseApp::DenoiserClassifier,
+//!     mode: ExecMode::P2p,
+//! };
+//! let run = point.run(&models, 4, SocEngine::default())?;
 //! assert_eq!(run.metrics.frames, 4);
 //! assert!(run.metrics.frames_per_second() > 0.0);
 //! # Ok(())

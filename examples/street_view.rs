@@ -7,8 +7,9 @@
 //! ```
 
 use esp4ml::apps::{CaseApp, TrainedModels};
-use esp4ml::experiments::AppRun;
+use esp4ml::experiments::GridPoint;
 use esp4ml::runtime::{ExecMode, RunSpec};
+use esp4ml::soc::SocEngine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Architecture study: untrained weights keep this example fast; run
@@ -24,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         println!("configuration {}:", app.label());
         for mode in ExecMode::ALL {
-            let run = AppRun::execute(&app, &models, frames, mode)?;
+            let run = GridPoint { app, mode }.run(&models, frames, SocEngine::default())?;
             println!(
                 "  {:>4}: {:>7.0} frames/s  {:>8.0} frames/J  {:>6} DRAM accesses",
                 mode.label(),

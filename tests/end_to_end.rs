@@ -2,11 +2,21 @@
 //! execution, across crates.
 
 use esp4ml::apps::{CaseApp, TrainedModels};
-use esp4ml::experiments::AppRun;
+use esp4ml::experiments::{AppRun, ExperimentError, GridPoint};
 use esp4ml::runtime::ExecMode;
+use esp4ml::soc::SocEngine;
 
 fn models() -> TrainedModels {
     TrainedModels::untrained()
+}
+
+fn run_point(
+    app: CaseApp,
+    m: &TrainedModels,
+    frames: u64,
+    mode: ExecMode,
+) -> Result<AppRun, ExperimentError> {
+    GridPoint { app, mode }.run(m, frames, SocEngine::default())
 }
 
 #[test]
@@ -14,7 +24,7 @@ fn every_case_app_runs_in_every_mode() {
     let m = models();
     for app in CaseApp::all_fig7_configs() {
         for mode in ExecMode::ALL {
-            let run = AppRun::execute(&app, &m, 4, mode)
+            let run = run_point(app, &m, 4, mode)
                 .unwrap_or_else(|e| panic!("{} {}: {e}", app.label(), mode.label()));
             assert_eq!(run.metrics.frames, 4, "{} {}", app.label(), mode.label());
             assert!(run.metrics.cycles > 0);
@@ -32,9 +42,9 @@ fn predictions_are_mode_invariant() {
         CaseApp::DenoiserClassifier,
         CaseApp::MultiTileClassifier,
     ] {
-        let base = AppRun::execute(&app, &m, 5, ExecMode::Base).expect("base");
-        let pipe = AppRun::execute(&app, &m, 5, ExecMode::Pipe).expect("pipe");
-        let p2p = AppRun::execute(&app, &m, 5, ExecMode::P2p).expect("p2p");
+        let base = run_point(app, &m, 5, ExecMode::Base).expect("base");
+        let pipe = run_point(app, &m, 5, ExecMode::Pipe).expect("pipe");
+        let p2p = run_point(app, &m, 5, ExecMode::P2p).expect("p2p");
         assert_eq!(base.predictions, pipe.predictions, "{}", app.label());
         assert_eq!(pipe.predictions, p2p.predictions, "{}", app.label());
     }
@@ -47,9 +57,9 @@ fn pipe_not_slower_base_and_p2p_not_slower_pipe() {
         CaseApp::NightVisionClassifier { nv: 4, cl: 4 },
         CaseApp::MultiTileClassifier,
     ] {
-        let base = AppRun::execute(&app, &m, 8, ExecMode::Base).expect("base");
-        let pipe = AppRun::execute(&app, &m, 8, ExecMode::Pipe).expect("pipe");
-        let p2p = AppRun::execute(&app, &m, 8, ExecMode::P2p).expect("p2p");
+        let base = run_point(app, &m, 8, ExecMode::Base).expect("base");
+        let pipe = run_point(app, &m, 8, ExecMode::Pipe).expect("pipe");
+        let p2p = run_point(app, &m, 8, ExecMode::P2p).expect("p2p");
         assert!(
             pipe.metrics.cycles < base.metrics.cycles,
             "{}: pipe {} !< base {}",
@@ -76,8 +86,8 @@ fn p2p_dram_reduction_is_in_the_paper_band() {
         (CaseApp::DenoiserClassifier, 2.5, 3.2),
         (CaseApp::MultiTileClassifier, 1.7, 2.2),
     ] {
-        let pipe = AppRun::execute(&app, &m, 6, ExecMode::Pipe).expect("pipe");
-        let p2p = AppRun::execute(&app, &m, 6, ExecMode::P2p).expect("p2p");
+        let pipe = run_point(app, &m, 6, ExecMode::Pipe).expect("pipe");
+        let p2p = run_point(app, &m, 6, ExecMode::P2p).expect("p2p");
         let reduction = pipe.metrics.dram_accesses as f64 / p2p.metrics.dram_accesses as f64;
         assert!(
             (lo..=hi).contains(&reduction),
@@ -105,7 +115,7 @@ fn esp4ml_beats_baselines_in_frames_per_joule() {
         (CaseApp::MultiTileClassifier, Workload::classifier()),
     ];
     for (app, workload) in cases {
-        let run = AppRun::execute(&app, &m, 8, ExecMode::P2p).expect("p2p run");
+        let run = run_point(app, &m, 8, ExecMode::P2p).expect("p2p run");
         let fpj = run.frames_per_joule();
         assert!(
             fpj > i7.frames_per_joule(&workload),
@@ -126,8 +136,8 @@ fn nv_instance_scaling_increases_throughput() {
     // classifier raises pipeline throughput.
     let m = models();
     let fps = |nv: usize, cl: usize| {
-        AppRun::execute(
-            &CaseApp::NightVisionClassifier { nv, cl },
+        run_point(
+            CaseApp::NightVisionClassifier { nv, cl },
             &m,
             8,
             ExecMode::P2p,

@@ -5,7 +5,7 @@
 //! in a `progress`/`advance` implementation, never a tolerance issue.
 
 use esp4ml::apps::TrainedModels;
-use esp4ml::experiments::{AppRun, Fig7, Fig8, GridPoint, Table1};
+use esp4ml::experiments::{Fig7, Fig8, GridPoint, RunOptions, Table1};
 use esp4ml::soc::SocEngine;
 use esp4ml::TraceSession;
 use esp4ml_runtime::ExecMode;
@@ -54,6 +54,23 @@ fn engines_agree_on_every_fig7_grid_point() {
     }
 }
 
+/// Runs `point` observed by `session`, panicking on failure.
+fn run_observed(
+    point: &GridPoint,
+    models: &TrainedModels,
+    frames: u64,
+    engine: SocEngine,
+    session: &mut TraceSession,
+) {
+    let opts = RunOptions {
+        session: Some(session),
+        ..RunOptions::default()
+    };
+    point
+        .run_with(models, frames, engine, opts)
+        .unwrap_or_else(|e| panic!("{} observed run failed: {e}", point.label()));
+}
+
 /// Runs `point` with the online profiler attached and returns the
 /// serialized profile report list.
 fn profile_json(
@@ -63,8 +80,7 @@ fn profile_json(
     engine: SocEngine,
 ) -> String {
     let mut session = TraceSession::profiled(None);
-    AppRun::execute_traced_on(&point.app, models, frames, point.mode, engine, &mut session)
-        .unwrap_or_else(|e| panic!("{} profiled run failed: {e}", point.label()));
+    run_observed(point, models, frames, engine, &mut session);
     serde_json::to_string(session.profiles()).expect("profile serialization")
 }
 
@@ -98,8 +114,7 @@ fn engines_agree_on_profile_reports() {
 /// attached and returns the serialized span report list.
 fn span_json(point: &GridPoint, models: &TrainedModels, frames: u64, engine: SocEngine) -> String {
     let mut session = TraceSession::spanned(None, true);
-    AppRun::execute_traced_on(&point.app, models, frames, point.mode, engine, &mut session)
-        .unwrap_or_else(|e| panic!("{} spanned run failed: {e}", point.label()));
+    run_observed(point, models, frames, engine, &mut session);
     serde_json::to_string(session.span_reports()).expect("span serialization")
 }
 
@@ -135,15 +150,7 @@ fn span_critical_path_matches_profiler_on_every_fig7_point() {
     let models = TrainedModels::untrained();
     for point in &Fig7::grid() {
         let mut session = TraceSession::spanned(None, true);
-        AppRun::execute_traced_on(
-            &point.app,
-            &models,
-            2,
-            point.mode,
-            SocEngine::EventDriven,
-            &mut session,
-        )
-        .unwrap_or_else(|e| panic!("{} spanned run failed: {e}", point.label()));
+        run_observed(point, &models, 2, SocEngine::EventDriven, &mut session);
         let report = session.span_reports().first().expect("span report");
         let bottleneck = session
             .profiles()
@@ -197,8 +204,7 @@ proptest! {
         let point = GridPoint { app, mode };
         for engine in [SocEngine::Naive, SocEngine::EventDriven] {
             let mut session = TraceSession::spanned(None, false);
-            AppRun::execute_traced_on(&app, &models, frames, mode, engine, &mut session)
-                .unwrap_or_else(|e| panic!("{} spanned run failed: {e}", point.label()));
+            run_observed(&point, &models, frames, engine, &mut session);
             let report = session.span_reports().first().expect("span report");
             prop_assert_eq!(
                 report.frames.len() as u64,

@@ -5,7 +5,7 @@
 use esp4ml::mem::{CacheConfig, DramConfig};
 use esp4ml::noc::Coord;
 use esp4ml::runtime::{Dataflow, EspRuntime, ExecMode, RunSpec};
-use esp4ml::soc::{AccelConfig, ScaleKernel, Soc, SocBuilder};
+use esp4ml::soc::{AccelConfig, ScaleKernel, Soc, SocBuilder, SocEngine};
 
 fn pipeline_soc(llc: bool, mems: usize) -> Soc {
     let mut b = SocBuilder::new(3, 2).processor(Coord::new(0, 0));
@@ -166,13 +166,13 @@ fn shallow_noc_queues_never_deadlock_a_full_app() {
     // pattern — and make sure it completes (the consumption assumption
     // and plane decoupling are what guarantee this).
     use esp4ml::apps::{CaseApp, TrainedModels};
-    use esp4ml::experiments::AppRun;
-    let run = AppRun::execute(
-        &CaseApp::NightVisionClassifier { nv: 4, cl: 4 },
-        &TrainedModels::untrained(),
-        12,
-        ExecMode::P2p,
-    )
-    .expect("must drain without deadlock");
+    use esp4ml::experiments::GridPoint;
+    let point = GridPoint {
+        app: CaseApp::NightVisionClassifier { nv: 4, cl: 4 },
+        mode: ExecMode::P2p,
+    };
+    let run = point
+        .run(&TrainedModels::untrained(), 12, SocEngine::default())
+        .expect("must drain without deadlock");
     assert_eq!(run.metrics.frames, 12);
 }

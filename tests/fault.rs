@@ -4,7 +4,7 @@
 //! the whole machinery is zero-cost when no faults are configured.
 
 use esp4ml::apps::{CaseApp, TrainedModels};
-use esp4ml::experiments::AppRun;
+use esp4ml::experiments::{AppRun, GridPoint, RunOptions};
 use esp4ml::faults::{CampaignReport, FaultConfig, CAMPAIGN_WATCHDOG_CYCLES};
 use esp4ml::runtime::ExecMode;
 use esp4ml::trace::SpanKind;
@@ -20,6 +20,21 @@ fn hang_config(plan: FaultPlan) -> FaultConfig {
     FaultConfig::from_plan(plan).with_watchdog(CAMPAIGN_WATCHDOG_CYCLES)
 }
 
+/// Runs `app` in `mode` over three frames under the event-driven engine
+/// with the extras of `opts`.
+fn run_point(m: &TrainedModels, app: CaseApp, mode: ExecMode, opts: RunOptions<'_>) -> AppRun {
+    GridPoint { app, mode }
+        .run_with(m, 3, SocEngine::EventDriven, opts)
+        .unwrap()
+}
+
+fn faulted(config: &FaultConfig) -> RunOptions<'_> {
+    RunOptions {
+        faults: Some(config),
+        ..RunOptions::default()
+    }
+}
+
 /// The acceptance scenario of the fault-tolerance work: a Fig. 7
 /// three-stage pipeline (input → NV → classifier) with a permanently
 /// hung classifier completes via retry + failover to the spare
@@ -29,10 +44,9 @@ fn hang_config(plan: FaultPlan) -> FaultConfig {
 fn fig7_pipeline_survives_permanent_hang_via_failover() {
     let m = models();
     let app = CaseApp::NightVisionClassifier { nv: 2, cl: 2 };
-    let healthy = AppRun::execute(&app, &m, 3, ExecMode::Pipe).unwrap();
+    let healthy = run_point(&m, app, ExecMode::Pipe, RunOptions::default());
     let config = hang_config(FaultPlan::new(0).with(FaultSpec::permanent_hang("cl0")));
-    let run = AppRun::execute_faulted(&app, &m, 3, ExecMode::Pipe, SocEngine::EventDriven, &config)
-        .unwrap();
+    let run = run_point(&m, app, ExecMode::Pipe, faulted(&config));
     assert!(!run.software_fallback, "spares should absorb the hang");
     assert!(run.metrics.retries >= 1, "{:?}", run.metrics);
     assert!(run.metrics.failovers >= 1, "{:?}", run.metrics);
@@ -54,10 +68,9 @@ fn fig7_pipeline_survives_permanent_hang_via_failover() {
 fn denoiser_hang_degrades_to_software_fallback() {
     let m = models();
     let app = CaseApp::DenoiserClassifier;
-    let healthy = AppRun::execute(&app, &m, 3, ExecMode::Pipe).unwrap();
+    let healthy = run_point(&m, app, ExecMode::Pipe, RunOptions::default());
     let config = hang_config(FaultPlan::new(0).with(FaultSpec::permanent_hang("denoiser")));
-    let run = AppRun::execute_faulted(&app, &m, 3, ExecMode::Pipe, SocEngine::EventDriven, &config)
-        .unwrap();
+    let run = run_point(&m, app, ExecMode::Pipe, faulted(&config));
     assert!(run.software_fallback);
     assert_eq!(run.metrics.frames, 3);
     assert_eq!(run.predictions.len(), 3);
@@ -76,10 +89,9 @@ fn denoiser_hang_degrades_to_software_fallback() {
 fn transient_hang_recovers_with_retries_only() {
     let m = models();
     let app = CaseApp::DenoiserClassifier;
-    let healthy = AppRun::execute(&app, &m, 3, ExecMode::P2p).unwrap();
+    let healthy = run_point(&m, app, ExecMode::P2p, RunOptions::default());
     let config = hang_config(FaultPlan::new(0).with(FaultSpec::transient_hang("denoiser", 0)));
-    let run = AppRun::execute_faulted(&app, &m, 3, ExecMode::P2p, SocEngine::EventDriven, &config)
-        .unwrap();
+    let run = run_point(&m, app, ExecMode::P2p, faulted(&config));
     assert!(!run.software_fallback);
     assert!(run.metrics.retries >= 1);
     assert_eq!(run.metrics.failovers, 0);
@@ -129,16 +141,11 @@ fn recovery_cycles_appear_as_retry_and_failover_spans() {
     let app = CaseApp::DenoiserClassifier;
     let config = hang_config(FaultPlan::new(0).with(FaultSpec::transient_hang("denoiser", 0)));
     let mut session = TraceSession::spanned(None, false);
-    let run = AppRun::execute_faulted_traced(
-        &app,
-        &m,
-        3,
-        ExecMode::P2p,
-        SocEngine::EventDriven,
-        &config,
-        &mut session,
-    )
-    .unwrap();
+    let opts = RunOptions {
+        session: Some(&mut session),
+        ..faulted(&config)
+    };
+    let run = run_point(&m, app, ExecMode::P2p, opts);
     assert!(run.metrics.retries >= 1, "{:?}", run.metrics);
     let report = session.span_reports().first().expect("span report");
     report
@@ -164,16 +171,11 @@ fn recovery_cycles_appear_as_retry_and_failover_spans() {
     let app = CaseApp::NightVisionClassifier { nv: 2, cl: 2 };
     let config = hang_config(FaultPlan::new(0).with(FaultSpec::permanent_hang("cl0")));
     let mut session = TraceSession::spanned(None, false);
-    let run = AppRun::execute_faulted_traced(
-        &app,
-        &m,
-        3,
-        ExecMode::Pipe,
-        SocEngine::EventDriven,
-        &config,
-        &mut session,
-    )
-    .unwrap();
+    let opts = RunOptions {
+        session: Some(&mut session),
+        ..faulted(&config)
+    };
+    let run = run_point(&m, app, ExecMode::Pipe, opts);
     assert!(run.metrics.failovers >= 1, "{:?}", run.metrics);
     let report = session.span_reports().first().expect("span report");
     report
@@ -199,16 +201,9 @@ fn recovery_cycles_appear_as_retry_and_failover_spans() {
 fn no_faults_is_zero_cost() {
     let m = models();
     for mode in [ExecMode::Pipe, ExecMode::P2p] {
-        let plain = AppRun::execute(&CaseApp::DenoiserClassifier, &m, 3, mode).unwrap();
-        let armed = AppRun::execute_faulted(
-            &CaseApp::DenoiserClassifier,
-            &m,
-            3,
-            mode,
-            SocEngine::EventDriven,
-            &FaultConfig::default(),
-        )
-        .unwrap();
+        let app = CaseApp::DenoiserClassifier;
+        let plain = run_point(&m, app, mode, RunOptions::default());
+        let armed = run_point(&m, app, mode, faulted(&FaultConfig::default()));
         assert_eq!(plain.metrics, armed.metrics, "{mode:?}");
         assert_eq!(plain.predictions, armed.predictions, "{mode:?}");
         assert!(!armed.software_fallback);

@@ -3,10 +3,10 @@
 //! against the legacy aggregate stats.
 
 use esp4ml::apps::{CaseApp, TrainedModels};
-use esp4ml::experiments::AppRun;
+use esp4ml::experiments::{GridPoint, RunOptions};
 use esp4ml::noc::Coord;
 use esp4ml::runtime::{Dataflow, EspRuntime, ExecMode, RunSpec};
-use esp4ml::soc::{ScaleKernel, SocBuilder};
+use esp4ml::soc::{ScaleKernel, SocBuilder, SocEngine};
 use esp4ml::trace::perfetto::{self, tile_tid};
 use esp4ml::trace::{RingBufferSink, SpanCollector, TileCoord, TraceEvent, Tracer};
 use esp4ml::TraceSession;
@@ -18,11 +18,19 @@ use proptest::prelude::*;
 #[test]
 fn perfetto_export_round_trips_from_e2e_run() {
     let models = TrainedModels::untrained();
-    let app = CaseApp::DenoiserClassifier;
+    let point = GridPoint {
+        app: CaseApp::DenoiserClassifier,
+        mode: ExecMode::P2p,
+    };
     let frames = 3u64;
     let mut session = TraceSession::with_sampling(Tracer::ring_buffer(), 500);
-    let run =
-        AppRun::execute_traced(&app, &models, frames, ExecMode::P2p, &mut session).expect("run");
+    let opts = RunOptions {
+        session: Some(&mut session),
+        ..RunOptions::default()
+    };
+    let run = point
+        .run_with(&models, frames, SocEngine::default(), opts)
+        .expect("run");
     assert_eq!(run.metrics.frames, frames);
 
     // The counter time-series and NoC summary were collected on the way.
@@ -40,7 +48,8 @@ fn perfetto_export_round_trips_from_e2e_run() {
         "{completions} frame completions for {frames} frames"
     );
 
-    let text = perfetto::chrome_trace_json(&events);
+    let doc = perfetto::chrome_trace(&events, 0, 0);
+    let text = serde_json::to_string_pretty(&doc).expect("trace serializes");
     let doc: serde_json::Value =
         serde_json::from_str(&text).expect("exporter emitted invalid JSON");
     let rows = doc["traceEvents"].as_array().expect("traceEvents array");
@@ -66,7 +75,7 @@ fn perfetto_export_round_trips_from_e2e_run() {
         .iter()
         .find(|r| r["name"].as_str() == Some("process_name"))
         .expect("process_name metadata");
-    let expected = format!("{} p2p", app.label());
+    let expected = format!("{} p2p", point.app.label());
     assert_eq!(process["args"]["name"].as_str(), Some(expected.as_str()));
 
     // One named accel track per accelerator tile that ran. (Floorplans

@@ -2,9 +2,16 @@
 //! under the invariant sanitizer, and both simulation engines return
 //! byte-identical verdicts.
 
-use esp4ml::experiments::Fig7;
+use esp4ml::experiments::{Fig7, GridPoint, RunOptions};
 use esp4ml::TrainedModels;
 use esp4ml_soc::SocEngine;
+
+fn sanitized() -> RunOptions<'static> {
+    RunOptions {
+        sanitize: true,
+        ..RunOptions::default()
+    }
+}
 
 /// Every Fig. 7 grid point, sanitized, on both engines: the runs
 /// complete (no invariant fires on a healthy SoC) and the attached
@@ -14,10 +21,10 @@ fn fig7_grid_sanitized_clean_and_engine_identical() {
     let models = TrainedModels::untrained();
     for point in Fig7::grid() {
         let naive = point
-            .run_sanitized(&models, 2, SocEngine::Naive)
+            .run_with(&models, 2, SocEngine::Naive, sanitized())
             .unwrap_or_else(|e| panic!("{} naive: {e}", point.label()));
         let event = point
-            .run_sanitized(&models, 2, SocEngine::EventDriven)
+            .run_with(&models, 2, SocEngine::EventDriven, sanitized())
             .unwrap_or_else(|e| panic!("{} event: {e}", point.label()));
         let nv = naive.sanitizer.as_ref().expect("sanitized run has verdict");
         let ev = event.sanitizer.as_ref().expect("sanitized run has verdict");
@@ -39,16 +46,19 @@ fn fig7_grid_sanitized_clean_and_engine_identical() {
 #[test]
 fn sanitizer_does_not_perturb_results() {
     use esp4ml::apps::CaseApp;
-    use esp4ml::experiments::AppRun;
     use esp4ml::runtime::ExecMode;
 
     let models = TrainedModels::untrained();
-    let app = CaseApp::DenoiserClassifier;
-    let plain = AppRun::execute_on(&app, &models, 3, ExecMode::P2p, SocEngine::EventDriven)
+    let point = GridPoint {
+        app: CaseApp::DenoiserClassifier,
+        mode: ExecMode::P2p,
+    };
+    let plain = point
+        .run(&models, 3, SocEngine::EventDriven)
         .expect("plain run");
-    let sanitized =
-        AppRun::execute_sanitized(&app, &models, 3, ExecMode::P2p, SocEngine::EventDriven)
-            .expect("sanitized run");
+    let sanitized = point
+        .run_with(&models, 3, SocEngine::EventDriven, sanitized())
+        .expect("sanitized run");
     assert_eq!(plain.metrics, sanitized.metrics);
     assert_eq!(plain.predictions, sanitized.predictions);
     assert!(plain.sanitizer.is_none());
